@@ -356,11 +356,10 @@ func BenchmarkFederationDispatch(b *testing.B) {
 // federation loop on a members × workers grid: identical uniform members
 // under round-robin dispatch (the stateless policy, so arrival batches
 // stretch the lookahead horizon), with the per-member MCB scheduler
-// supplying real work between barriers. workers=1 rows run the serial
-// heap loop and are the speedup baseline; the wall-clock ratio at
-// members=8/workers=4 is the PR-10 acceptance number. On single-core
-// hosts the rows collapse to parity (the pool cannot run concurrently);
-// results are byte-identical across rows either way.
+// supplying real work between barriers. workers=1 rows advance the
+// members inline, with no pool, and are the speedup baseline. On
+// single-core hosts the rows collapse to parity (the pool cannot run
+// concurrently); results are byte-identical across rows either way.
 func BenchmarkFederationParallel(b *testing.B) {
 	for _, members := range []int{4, 8} {
 		tr, err := dfrs.SyntheticTrace(dfrs.SyntheticOptions{

@@ -81,17 +81,13 @@ type CampaignOptions struct {
 	// transitions. Per-cell event sequences are deterministic and
 	// identical for any worker count.
 	Observer func(CampaignCell) Observer
-	// Stream runs every cell through the simulator's streaming path (lazy
-	// job admission, pooled runtime records). Records are identical to a
-	// materialized run; the switch bounds live memory on large traces.
-	Stream bool
 	// FedWorkers sets FederationSpec.Workers for federated cells (those
 	// with a Topologies axis): values above 1 advance each cell's member
-	// clusters concurrently between dispatch points. The default 0 keeps
-	// federated cells serial, since the campaign worker pool already
-	// saturates the cores. Records and checkpoint JSONL are
-	// byte-identical across every value — an execution knob, never a
-	// grid axis.
+	// clusters concurrently between dispatch points. The default 0 (like
+	// 1) advances them inline on the cell's own worker, since the campaign
+	// worker pool already saturates the cores. Records and checkpoint
+	// JSONL are byte-identical across every value — an execution knob,
+	// never a grid axis.
 	FedWorkers int
 	// OnJob, when non-nil, receives every retained per-job outcome of each
 	// finished cell, after the cell validates and before its record
@@ -125,7 +121,7 @@ func Campaign(ctx context.Context, g Grid, opt CampaignOptions) (*CampaignRun, e
 	if opt.Resume && opt.Checkpoint == "" {
 		return nil, fmt.Errorf("dfrs: CampaignOptions.Resume requires Checkpoint")
 	}
-	runner := &campaign.Runner{Workers: opt.Workers, Stream: opt.Stream, FedWorkers: opt.FedWorkers}
+	runner := &campaign.Runner{Workers: opt.Workers, FedWorkers: opt.FedWorkers}
 	var checkpoint *os.File
 	switch {
 	case opt.Checkpoint != "" && opt.Resume:

@@ -62,12 +62,11 @@ func main() {
 		penalties = flag.String("penalties", "300", "comma-separated rescheduling penalties in seconds")
 		weeks     = flag.Int("weeks", 0, "HPC2N-like weekly segments to add as a second family (0 = none; paper: 182)")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
-		fedWork   = flag.Int("fed-workers", 0, "goroutines advancing each federated cell's member clusters concurrently (0 = serial per cell, the default — the cell pool owns the cores); output JSONL is byte-identical for any value")
+		fedWork   = flag.Int("fed-workers", 0, "goroutines advancing each federated cell's member clusters concurrently (0 or 1 = inline on the cell's worker, the default — the cell pool owns the cores); output JSONL is byte-identical for any value")
 		out       = flag.String("out", "-", "output JSONL path (- = stdout)")
 		resume    = flag.Bool("resume", false, "skip cells already present in -out and append the rest")
 		check     = flag.Bool("check", false, "enable per-event simulator invariant checking")
 		timing    = flag.Bool("timing", false, "record wall-clock scheduler timing aggregates (nondeterministic)")
-		stream    = flag.Bool("stream", false, "run cells through the streaming simulator path (lazy admission, pooled records); identical output, bounded live memory")
 		quiet     = flag.Bool("q", false, "suppress progress output on stderr")
 	)
 	flag.Parse()
@@ -108,7 +107,7 @@ func main() {
 	if *fedWork != 0 && *clusters == "" {
 		fatal(fmt.Errorf("bad -fed-workers: requires -clusters"))
 	}
-	opt := dfrs.CampaignOptions{Workers: *workers, Stream: *stream, FedWorkers: *fedWork}
+	opt := dfrs.CampaignOptions{Workers: *workers, FedWorkers: *fedWork}
 	if !*quiet {
 		opt.Progress = func(done, total int, rec dfrs.CampaignRecord) {
 			fmt.Fprintf(os.Stderr, "dfrs-campaign: [%d/%d] %s\n", done, total, rec.Key)

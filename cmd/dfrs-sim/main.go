@@ -46,7 +46,7 @@ func main() {
 		clusters  = flag.String("clusters", "", "federated run over this cluster topology: a count like 2, or mix:nodes terms joined by +, e.g. uniform:128+bimodal-priced:64 (defaults per member: -nodes and -node-mix)")
 		dispatch  = flag.String("dispatch", "", "federation dispatch policy routing arrivals across -clusters (see -list-dispatchers); empty = "+dfrs.DefaultDispatcher)
 		listDisp  = flag.Bool("list-dispatchers", false, "list federation dispatch policies and exit")
-		fedWork   = flag.Int("fed-workers", 0, "goroutines advancing -clusters members concurrently between dispatch points; 0 = all cores, 1 = serial (results identical either way)")
+		fedWork   = flag.Int("fed-workers", 0, "goroutines advancing -clusters members concurrently between dispatch points; 0 = all cores, 1 = inline, no pool (results identical either way)")
 		load      = flag.Float64("load", 0.7, "synthetic offered load (0 = natural); with -stream, explicitly setting it rescales the streamed trace to this load (two-pass measurement for a -trace file, '# offered_load:' metadata for stdin)")
 		check     = flag.Bool("check", false, "enable per-event invariant checking")
 		events    = flag.Bool("events", false, "stream every scheduling transition live to stderr")

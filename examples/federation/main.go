@@ -8,15 +8,15 @@
 // only the overflow is billed.
 //
 // Every member advances under one global clock — the orchestrator only
-// picks which cluster's next event fires, so a one-cluster federation is
-// byte-identical to dfrs.Run (that lock is what makes the dispatch
+// decides how far each cluster advances before the next dispatch, so a
+// one-cluster federation is byte-identical to dfrs.Run (that lock is what makes the dispatch
 // policies comparable: any difference between rows is routing, not
 // engine drift).
 //
-// The second half times a wider eight-member federation twice — serial
-// (Workers 1) and on the conservative-lookahead worker pool (Workers 0,
-// all cores) — and checks the results match exactly: parallelism is an
-// execution detail, never a semantics change. The speedup tracks the
+// The second half times a wider eight-member federation twice — members
+// advanced inline (Workers 1) and on the conservative-lookahead worker
+// pool (Workers 0, all cores) — and checks the results match exactly:
+// parallelism is an execution detail, never a semantics change. The speedup tracks the
 // host's core count; on a single-core machine the two timings collapse
 // to parity.
 //
@@ -81,8 +81,8 @@ func main() {
 	fmt.Println("  -dispatch roundrobin,queuedepth,costaware.")
 
 	// Parallel execution: the same federation, eight members wide, timed
-	// serial versus the lookahead worker pool. Round-robin is stateless,
-	// so the pool batches whole arrival runs ahead of the members.
+	// inline versus on the worker pool. Round-robin is stateless, so the
+	// loop batches whole arrival runs ahead of the members.
 	wide := dfrs.FederationSpec{
 		Clusters:   make([]dfrs.ClusterSpec, 8),
 		Dispatcher: "roundrobin",
@@ -104,14 +104,14 @@ func main() {
 		}
 		return res, time.Since(start)
 	}
-	serial, serialDur := run(1)
+	inline, inlineDur := run(1)
 	parallel, parallelDur := run(0)
 	fmt.Printf("\nParallel execution (8 members, roundrobin, %d cores):\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("  serial   (Workers 1): %8s\n", serialDur.Round(time.Millisecond))
+	fmt.Printf("  inline   (Workers 1): %8s\n", inlineDur.Round(time.Millisecond))
 	fmt.Printf("  parallel (Workers 0): %8s\n", parallelDur.Round(time.Millisecond))
-	if serial.Events() != parallel.Events() || serial.Makespan() != parallel.Makespan() {
-		log.Fatalf("parallel run diverged from serial: %d/%d events, %g/%g makespan",
-			serial.Events(), parallel.Events(), serial.Makespan(), parallel.Makespan())
+	if inline.Events() != parallel.Events() || inline.Makespan() != parallel.Makespan() {
+		log.Fatalf("parallel run diverged from inline: %d/%d events, %g/%g makespan",
+			inline.Events(), parallel.Events(), inline.Makespan(), parallel.Makespan())
 	}
 	fmt.Println("  results: identical (parallelism never changes the answer)")
 }

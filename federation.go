@@ -44,14 +44,13 @@ type FederationSpec struct {
 	// set their own. RunFederated's algorithm argument is this field; set
 	// per-cluster Algorithm for heterogeneous federations.
 	Algorithm string
-	// Workers selects the execution mode: 0 (the default) picks
-	// GOMAXPROCS workers for federations of two or more clusters and the
-	// serial loop otherwise; 1 forces the serial loop; higher values run
-	// that many goroutines advancing members concurrently between
-	// dispatch points (capped at the cluster count). Results are
-	// byte-identical across every value — the parallel loop processes the
-	// identical per-member event sequence (see internal/federation's
-	// package doc).
+	// Workers is how many goroutines advance the clusters between
+	// dispatch points: 0 (the default) picks GOMAXPROCS for federations of
+	// two or more clusters; 1 advances them inline, one after another in
+	// cluster order; higher values run that many goroutines concurrently
+	// (capped at the cluster count). Results are byte-identical across
+	// every value — every worker count processes the identical
+	// per-cluster event sequence (see internal/federation's package doc).
 	Workers int
 }
 
@@ -145,7 +144,7 @@ type FederatedClusterResult struct {
 //
 // Multi-cluster federations execute in parallel by default
 // (FederationSpec.Workers), advancing members concurrently between
-// dispatch points with byte-identical results to the serial loop.
+// dispatch points with results byte-identical to a 1-worker run.
 func RunFederated(ctx context.Context, t Trace, spec FederationSpec, opts ...RunOption) (FederatedResult, error) {
 	return runFederated(ctx, t.t, t.t.Dims(), nil, spec, opts)
 }

@@ -356,27 +356,3 @@ func TestProgressCallback(t *testing.T) {
 		t.Fatalf("progress calls=%d lastDone=%d lastTotal=%d, want all %d", calls, lastDone, lastTotal, len(recs))
 	}
 }
-
-// TestStreamingRunnerMatchesMaterialized pins that Runner.Stream changes
-// only the memory profile: the sorted JSONL output is byte-identical to a
-// materialized run of the same grid.
-func TestStreamingRunnerMatchesMaterialized(t *testing.T) {
-	g := testGrid()
-	g.Algorithms = append(g.Algorithms, "dynmcb8")
-	plain := runJSONL(t, g, 4)
-	var buf bytes.Buffer
-	r := &Runner{Workers: 4, Stream: true, Sink: NewJSONLSink(&buf)}
-	if _, err := r.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	streamed := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	sort.Strings(streamed)
-	if len(plain) != len(streamed) {
-		t.Fatalf("materialized run emitted %d records, streamed %d", len(plain), len(streamed))
-	}
-	for i := range plain {
-		if plain[i] != streamed[i] {
-			t.Fatalf("record %d differs:\nmaterialized: %s\nstreamed:     %s", i, plain[i], streamed[i])
-		}
-	}
-}

@@ -16,12 +16,13 @@ import (
 )
 
 // fedGrid is the acceptance scenario: a free on-prem mix plus a priced
-// elastic remote, swept across all three dispatch policies.
+// elastic remote, swept across all three dispatch policies, under a
+// greedy family and a periodic-timer DYNMCB8 variant.
 func fedGrid() *Grid {
 	return &Grid{
 		Name:         "fed-test",
 		Seeds:        []uint64{7},
-		Algorithms:   []string{"greedy"},
+		Algorithms:   []string{"greedy", "dynmcb8-asap-per"},
 		Families:     []Family{{Kind: FamilyLublin, Count: 1}},
 		Loads:        []float64{1},
 		Penalties:    []float64{300},
@@ -98,7 +99,8 @@ func TestFederationGridValidate(t *testing.T) {
 }
 
 // TestFederationCampaignDeterminism is the acceptance run: a 2-cluster
-// cloud-bursting campaign across all three dispatch policies emits
+// cloud-bursting campaign across all three dispatch policies and both
+// algorithms emits
 // byte-identical sorted JSONL for any worker count, every record carries a
 // populated cost (the priced remote) and per-cluster dispatch counts that
 // sum to the finished jobs.
@@ -106,8 +108,8 @@ func TestFederationCampaignDeterminism(t *testing.T) {
 	g := fedGrid()
 	serial := runJSONL(t, g, 1)
 	parallel := runJSONL(t, g, 4)
-	if len(serial) != 3 || len(parallel) != 3 {
-		t.Fatalf("record counts %d/%d, want 3", len(serial), len(parallel))
+	if len(serial) != 6 || len(parallel) != 6 {
+		t.Fatalf("record counts %d/%d, want 6", len(serial), len(parallel))
 	}
 	for i := range serial {
 		if serial[i] != parallel[i] {
@@ -135,12 +137,19 @@ func TestFederationCampaignDeterminism(t *testing.T) {
 
 // TestFederationCampaignFedWorkersDeterminism pins FedWorkers as a pure
 // execution knob: the same federated grid emits byte-identical sorted
-// JSONL whether each cell's member clusters advance serially or on a
-// parallel worker pool, alone and combined with a concurrent cell pool.
+// JSONL — events included — whether each cell's member clusters advance
+// inline or on a worker pool, alone and combined with a concurrent cell
+// pool.
 // FedWorkers is not a grid axis, so keys and records cannot depend on it
 // by construction — this guards the engine half of that promise.
 func TestFederationCampaignFedWorkersDeterminism(t *testing.T) {
 	g := fedGrid()
+	// A uniform quad at load 0.9, sized so round-robin leaves members
+	// idle, with periodic timers armed, inside the last dispatch batch:
+	// their event counts must not depend on FedWorkers either.
+	g.Topologies = append(g.Topologies, "4")
+	g.Loads = []float64{0.9}
+	g.JobsPerTrace = 100
 	run := func(cellWorkers, fedWorkers int) []string {
 		t.Helper()
 		var buf bytes.Buffer
@@ -176,16 +185,16 @@ func TestFederationCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 {
-		t.Fatalf("ran %d cells, want 3", len(all))
+	if len(all) != 6 {
+		t.Fatalf("ran %d cells, want 6", len(all))
 	}
 	skip := map[string]bool{all[1].Key: true}
 	rest, err := (&Runner{Workers: 2, Skip: skip}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 2 {
-		t.Fatalf("resume ran %d cells, want 2", len(rest))
+	if len(rest) != 5 {
+		t.Fatalf("resume ran %d cells, want 5", len(rest))
 	}
 	got := map[string]Record{}
 	for _, rec := range rest {

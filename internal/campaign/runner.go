@@ -45,20 +45,14 @@ type Runner struct {
 	// event sequences are a deterministic function of the cell alone, so
 	// they are identical for any worker count.
 	Observe func(Cell) sim.Observer
-	// Stream, when set, feeds each cell's jobs through the simulator's
-	// streaming path (lazy admission plus pooled runtime records) instead
-	// of materializing the arrival schedule up front. Results are
-	// identical either way; the switch exists to bound live memory on
-	// very large traces and to exercise the streaming engine in anger.
-	Stream bool
 	// FedWorkers sets federation.Spec.Workers for federated cells:
-	// values above 1 advance a cell's member clusters concurrently
-	// between dispatch points. The default 0 keeps federated cells
-	// serial — the cell pool above already owns the cores — and is the
-	// right choice except for few-cell campaigns of wide topologies.
-	// Records are byte-identical across every value: FedWorkers is an
-	// execution knob, not a grid axis, so it never appears in keys or
-	// JSONL (pinned by test).
+	// values above 1 advance a cell's member clusters concurrently on
+	// that many goroutines between dispatch points. The default 0 (like
+	// 1) advances them inline on the cell's own worker — the cell pool
+	// above already owns the cores — and is the right choice except for
+	// few-cell campaigns of wide topologies. Records are byte-identical
+	// across every value: FedWorkers is an execution knob, not a grid
+	// axis, so it never appears in keys or JSONL (pinned by test).
 	FedWorkers int
 	// OnJob, when non-nil, is called once per retained job result of every
 	// finished cell, after the cell's invariants validate and before its
@@ -210,18 +204,8 @@ func runCell(ctx context.Context, r *Runner, mat *materialiser, g *Grid, c Cell)
 	if r.Observe != nil {
 		obs = r.Observe(c)
 	}
-	// Streaming mode hands the simulator a meta-only trace and pulls jobs
-	// from a source; the job list itself stays owned by the materialiser
-	// cache and runtime records are pooled as jobs complete.
-	simTrace := tr
-	var source workload.JobSource
-	if r.Stream {
-		simTrace = &workload.Trace{Name: tr.Name, Nodes: tr.Nodes, NodeMemGB: tr.NodeMemGB}
-		source = workload.NewSliceSource(tr)
-	}
 	simulator, err := sim.New(sim.Config{
-		Trace:            simTrace,
-		Source:           source,
+		Trace:            tr,
 		Cluster:          cl,
 		Penalty:          c.Penalty,
 		CheckInvariants:  g.Check,

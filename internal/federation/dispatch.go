@@ -60,14 +60,14 @@ type Dispatcher interface {
 // dynamic view fields (JobsInSystem, FreeSlots, Dispatched) — only the
 // configuration-derived ones (Index, Name, Nodes, MeanCost, Priced, and
 // CanRun, which depends on the member's inventory and the job alone) and
-// the dispatcher's own internal state. The parallel federation loop
-// exploits the promise by routing whole batches of consecutive arrivals
-// ahead of the members, extending the lookahead horizon across many
-// dispatch points instead of barriering on every one. Declaring
-// statelessness while reading dynamic fields breaks the
-// parallel-equals-serial guarantee; policies that sample live state
-// (queuedepth, costaware) must not implement it, and keep per-arrival
-// barriers.
+// the dispatcher's own internal state. The federation loop exploits the
+// promise by routing whole batches of consecutive arrivals ahead of the
+// members, extending the lookahead horizon across many dispatch points
+// instead of barriering on every one. A policy that declared
+// statelessness while reading dynamic fields would route later arrivals
+// of a batch on views sampled before their own instant; policies that
+// sample live state (queuedepth, costaware) must not implement it, and
+// keep per-arrival barriers.
 type StatelessDispatcher interface {
 	Dispatcher
 	Stateless() bool

@@ -3,17 +3,17 @@
 // pluggable dispatch layer routing arriving jobs across the members.
 //
 // A Federation owns N independent sim.Simulator instances — each with its
-// own node mix, scheduler family and placement objective — and drives them
-// event-by-event in global timestamp order through the simulator's step
-// API (Start / PeekNextEventTime / ProcessNextEvent / Finalize). Job
+// own node mix, scheduler family and placement objective — and advances
+// them under one shared clock through the simulator's step API (Start /
+// PeekNextEventTime / StepUntil / ProcessNextEvent / Finalize). Job
 // admission is lifted out of per-simulator trace or Source ownership into
 // a federation-level arrival feed: one workload.JobSource supplies the
 // global arrival stream, and at each arrival instant a Dispatcher
 // inspects a live ClusterView per member (queue depth, free capacity,
 // mean node cost) and picks the member the job enters, which then admits
-// it through the exact streaming-mode admission path.
+// it through the simulator's one admission path (sim.InjectJob).
 //
-// The orchestrator only decides which member advances next — it never
+// The orchestrator only decides how far each member advances — it never
 // reaches into member state — so single-cluster behavior is locked by
 // construction: a 1-member federation processes the identical event
 // sequence as a plain run of the same trace, and its member Result is
@@ -26,27 +26,36 @@
 // with free capacity, falling back to the cheapest feasible — cloud
 // bursting over priced inventories, reusing cluster.NodeSpec.Cost).
 //
-// # Parallel execution
+// # Execution
 //
 // Members only interact at dispatch instants, which makes the federation
 // a conservative parallel-discrete-event simulation with the next arrival
 // as the lookahead horizon: every member event strictly before the next
-// arrival is independent of the routing decision, so Spec.Workers > 1
-// runs a worker pool that advances all members concurrently up to that
-// horizon (ties defer to the arrival, exactly as in the serial loop),
-// then barriers so the Dispatcher samples every ClusterView at the
-// arrival instant before routing. Dispatchers that implement the
-// StatelessDispatcher capability — routing independent of dynamic member
-// state, like roundrobin — let the loop dispatch whole arrival batches
-// ahead of the members, extending the horizon across many arrivals;
-// queuedepth and costaware read live views and keep per-arrival
-// barriers. Either way the parallel run processes the identical
-// per-member event sequence as the serial one, so results — merged and
-// per-cluster, streamed and materialized — are byte-identical under
-// every dispatcher (pinned by test). Observer and JobSink callbacks are
-// serialized behind one shared lock in parallel mode; per-member
-// ordering is preserved, but interleaving across members is not
-// deterministic.
+// arrival is independent of the routing decision. Run therefore proceeds
+// in rounds. Each round advances every member with an event before the
+// horizon up to it (ties defer to the arrival, as arrivals outrank
+// coincident events inside one simulator), then the Dispatcher samples
+// every ClusterView at the arrival instant and routes. Dispatchers that
+// implement the StatelessDispatcher capability — routing independent of
+// dynamic member state, like roundrobin — let the loop dispatch whole
+// arrival batches ahead of the members, extending the horizon across
+// many arrivals; queuedepth and costaware read live views and route one
+// arrival per round. Once the feed is exhausted a final round drains
+// each member through its last completion; trailing timers after a
+// member's last completion stay unprocessed, as in a single run.
+//
+// Spec.Workers only chooses who executes a round: at 1 worker the loop
+// advances the members itself, in index order; above 1 a worker pool
+// advances them concurrently and barriers before dispatch. The per-member
+// event sequence is the same either way, so results — merged and
+// per-cluster, streamed and in-memory — are byte-identical across worker
+// counts under every dispatcher (pinned by test).
+//
+// Observer and JobSink callbacks keep each member's own order. At 1
+// worker they also arrive member by member: within a round, all of member
+// 0's callbacks, then member 1's, and so on. Above 1 worker they are
+// serialized behind one shared lock, and their interleaving across
+// members is unspecified.
 package federation
 
 import (
@@ -115,16 +124,15 @@ type Spec struct {
 	// in every member; the merged Result concatenates member samples in
 	// member order.
 	RecordSchedTimes bool
-	// Workers selects the execution mode: values above 1 advance members
-	// concurrently on that many goroutines between dispatch points (see
-	// the package doc's Parallel execution section), capped at the member
-	// count; 0 or 1 runs the serial loop. Results are byte-identical
-	// either way.
+	// Workers is how many goroutines advance members between dispatch
+	// points (see the package doc's Execution section), capped at the
+	// member count; 0 or 1 advances them inline, in index order. Results
+	// are byte-identical for every value.
 	Workers int
 	// Observer, when non-nil, returns the per-member observer wired into
 	// member i's simulator (nil return = no observer for that member).
-	// Job ids in observer callbacks are member-local. In parallel mode
-	// all member observers share one lock, so callbacks never run
+	// Job ids in observer callbacks are member-local. Above 1 worker all
+	// member observers share one lock, so callbacks never run
 	// concurrently.
 	Observer func(member int) sim.Observer
 	// JobSink, when non-nil, receives every completed job as
@@ -180,14 +188,6 @@ type member struct {
 	dispatched int
 }
 
-// closedSource is the always-exhausted JobSource members are configured
-// with: it switches them into streaming mode (lazy admission, recycled
-// runtime records) while the federation feeds every job through
-// InjectJob.
-type closedSource struct{}
-
-func (closedSource) Next() (workload.Job, bool, error) { return workload.Job{}, false, nil }
-
 // Federation drives N member simulators under one shared clock, routing
 // the global arrival feed across them. Construct with New, run with Run.
 type Federation struct {
@@ -203,13 +203,13 @@ type Federation struct {
 
 // New builds a federation: the dispatcher and every member's scheduler,
 // objective and cluster are resolved eagerly so configuration errors
-// surface before any event runs. src is the global arrival feed — jobs in
-// nondecreasing submission order, consumed lazily.
-func New(spec Spec, src workload.JobSource) (*Federation, error) {
+// surface before any event runs. feed is the global arrival stream — jobs
+// in nondecreasing submission order, consumed lazily.
+func New(spec Spec, feed workload.JobSource) (*Federation, error) {
 	if len(spec.Members) == 0 {
 		return nil, fmt.Errorf("federation: no member clusters")
 	}
-	if src == nil {
+	if feed == nil {
 		return nil, fmt.Errorf("federation: nil job source")
 	}
 	if spec.Penalty < 0 {
@@ -226,14 +226,14 @@ func New(spec Spec, src workload.JobSource) (*Federation, error) {
 	f := &Federation{
 		spec:    spec,
 		disp:    disp,
-		src:     src,
+		src:     feed,
 		members: make([]*member, len(spec.Members)),
 		views:   make([]ClusterView, len(spec.Members)),
 	}
-	// In parallel mode member simulators run concurrently, so their
+	// Above 1 worker member simulators run concurrently, so their
 	// callbacks must be serialized behind one shared lock.
 	var cbMu *sync.Mutex
-	if spec.Workers > 1 && len(spec.Members) > 1 &&
+	if f.workers() > 1 &&
 		(spec.Observer != nil || spec.JobSink != nil) {
 		cbMu = new(sync.Mutex)
 	}
@@ -282,13 +282,14 @@ func newMember(i int, ms MemberSpec, spec Spec, dims int, cbMu *sync.Mutex) (*me
 		return nil, fmt.Errorf("federation: member %s: %w", name, err)
 	}
 	cl = cl.ExtendUnit(dims)
+	// The member's trace holds no jobs: the federation feeds every job
+	// through InjectJob.
 	cfg := sim.Config{
 		Trace: &workload.Trace{
 			Name:      spec.TraceName,
 			Nodes:     ms.Nodes,
 			NodeMemGB: spec.NodeMemGB,
 		},
-		Source:           closedSource{},
 		Cluster:          cl,
 		Penalty:          spec.Penalty,
 		MaxSimTime:       spec.MaxSimTime,
@@ -350,9 +351,8 @@ func (f *Federation) peek() error {
 
 // dispatch routes one arriving job: views are rebuilt from live member
 // state, the policy picks a member, and the job is injected through the
-// member's streaming admission path. It returns the member index the job
-// entered.
-func (f *Federation) dispatch(j workload.Job) (int, error) {
+// member's admission path.
+func (f *Federation) dispatch(j workload.Job) error {
 	for i, m := range f.members {
 		v := ClusterView{
 			Index:        i,
@@ -371,141 +371,36 @@ func (f *Federation) dispatch(j workload.Job) (int, error) {
 	}
 	target := f.disp.Dispatch(j, f.views)
 	if target < 0 {
-		return -1, fmt.Errorf("federation: dispatcher %s found no feasible cluster for job %d (%d tasks)",
+		return fmt.Errorf("federation: dispatcher %s found no feasible cluster for job %d (%d tasks)",
 			f.disp.Name(), j.ID, j.Tasks)
 	}
 	if target >= len(f.members) {
-		return -1, fmt.Errorf("federation: dispatcher %s returned member %d of %d for job %d",
+		return fmt.Errorf("federation: dispatcher %s returned member %d of %d for job %d",
 			f.disp.Name(), target, len(f.members), j.ID)
 	}
 	m := f.members[target]
 	if err := m.sim.InjectJob(j); err != nil {
-		return -1, fmt.Errorf("federation: dispatch job %d to %s: %w", j.ID, m.spec.Name, err)
+		return fmt.Errorf("federation: dispatch job %d to %s: %w", j.ID, m.spec.Name, err)
 	}
 	m.dispatched++
-	return target, nil
+	return nil
 }
 
-// Run drives the federation to completion: at every step the earliest
-// pending instant across the global feed and all member event queues is
-// selected — feed arrivals outrank coincident member events, exactly as
-// arrivals outrank coincident queue events inside one simulator — and
-// either the arriving job is dispatched or the owning member (lowest
-// index on ties) processes its next event. The context is checked between
-// steps. On success every member is finalized and the results merged.
-//
-// Spec.Workers > 1 selects the parallel loop, which processes the
-// identical per-member event sequence concurrently between dispatch
-// points and returns byte-identical results; see the package doc.
+// Run drives the federation to completion in lookahead rounds (see the
+// package doc's Execution section), checking the context between rounds
+// and, inside a round, every stepChunk events of each member. On success
+// every member is finalized and the results merged.
 func (f *Federation) Run(ctx context.Context) (*Result, error) {
-	if w := f.parWorkers(); w > 1 {
-		return f.runParallel(ctx, w)
-	}
-	return f.runSerial(ctx)
+	return f.run(ctx, f.workers())
 }
 
-// parWorkers resolves the effective parallel worker count: Spec.Workers
-// capped at the member count (extra workers would only idle); anything
-// at or below 1 selects the serial loop.
-func (f *Federation) parWorkers() int {
-	w := f.spec.Workers
-	if w > len(f.members) {
-		w = len(f.members)
-	}
-	return w
+// workers resolves the effective worker count: Spec.Workers capped at the
+// member count (extra workers would only idle), and at least 1.
+func (f *Federation) workers() int {
+	return max(1, min(f.spec.Workers, len(f.members)))
 }
 
-func (f *Federation) runSerial(ctx context.Context) (*Result, error) {
-	done := ctx.Done()
-	// Member next-event times are indexed in a positional min-heap keyed
-	// by (time, member index) — the same winner as the former O(N) sweep,
-	// at O(log N) per event. Only the member that just processed an event
-	// or received a job can change its next-event time, so exactly one
-	// entry is re-keyed per step.
-	h := newEventHeap(len(f.members))
-	for i, m := range f.members {
-		if t, ok := m.sim.PeekNextEventTime(); ok {
-			h.Set(i, t)
-		}
-	}
-	// A member is eligible to advance while it has unfinished jobs — or
-	// while the feed is open, since the next arrival may be dispatched to
-	// it (this keeps periodic scheduler timers firing through idle gaps,
-	// exactly as a single streaming run does). Once the feed closes and a
-	// member's last job completes, its trailing timer events are left
-	// unprocessed, matching the single-cluster run loop, which stops at
-	// the last completion.
-	feedClosed := false
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, f.cancelErr(ctx)
-			default:
-			}
-		}
-		if err := f.peek(); err != nil {
-			return nil, err
-		}
-		if f.next == nil && !feedClosed {
-			// The feed just closed: members with no unfinished jobs drop
-			// out of the index, leaving their trailing timers unprocessed.
-			feedClosed = true
-			for i, m := range f.members {
-				if !m.sim.HasPendingJobs() {
-					h.Remove(i)
-				}
-			}
-		}
-		best, tBest, ok := h.Min()
-		switch {
-		case f.next != nil && (!ok || f.next.Submit <= tBest):
-			j := *f.next
-			f.next = nil
-			target, err := f.dispatch(j)
-			if err != nil {
-				return nil, err
-			}
-			f.rekey(h, target, feedClosed)
-		case ok:
-			m := f.members[best]
-			if err := m.sim.ProcessNextEvent(); err != nil {
-				return nil, fmt.Errorf("federation: member %s: %w", m.spec.Name, err)
-			}
-			f.rekey(h, best, feedClosed)
-		default:
-			// No arrivals left and no member has an armed event. Any
-			// remaining job means a member scheduler deadlocked; let it
-			// report with its own diagnostics. Otherwise the run is
-			// complete.
-			for _, m := range f.members {
-				if m.sim.HasPendingJobs() {
-					if err := m.sim.ProcessNextEvent(); err != nil {
-						return nil, fmt.Errorf("federation: member %s: %w", m.spec.Name, err)
-					}
-				}
-			}
-			return f.finalize()
-		}
-	}
-}
-
-// rekey refreshes member i's heap entry after it processed an event or
-// received a job; no other member's next-event time can have changed.
-func (f *Federation) rekey(h *eventHeap, i int, feedClosed bool) {
-	m := f.members[i]
-	if feedClosed && !m.sim.HasPendingJobs() {
-		h.Remove(i)
-		return
-	}
-	if t, ok := m.sim.PeekNextEventTime(); ok {
-		h.Set(i, t)
-	} else {
-		h.Remove(i)
-	}
-}
-
-// cancelErr formats the context-cancellation error common to both loops.
+// cancelErr formats the federation's context-cancellation error.
 func (f *Federation) cancelErr(ctx context.Context) error {
 	return fmt.Errorf("federation: %s stopped at t=%.1f with %d jobs unfinished: %w",
 		f.disp.Name(), f.clock(), f.jobsInSystem(), ctx.Err())

@@ -30,46 +30,28 @@ func TestNewUnknown(t *testing.T) {
 }
 
 // buildSim constructs a simulator with a scripted scheduler that exposes
-// the controller for direct helper testing. The returned run function
-// executes the script inside the simulation's first arrival.
+// the controller for direct helper testing: body runs inside job 0's
+// arrival, when every job submitted at t=0 has a jid. Jobs are admitted
+// lazily, so a body can only address jobs submitted at t=0.
 func buildSim(t *testing.T, tr *workload.Trace, body func(ctl *sim.Controller)) {
 	t.Helper()
-	done := false
-	s := &probe{onArrival: func(ctl *sim.Controller, jid int) {
-		if jid == 0 && !done {
-			done = true
-			body(ctl)
-		}
-		// Finish every job so the simulation terminates: greedy placement
-		// plus the greedy yield rule keep all invariants satisfied.
-		if ctl.Job(jid).State == sim.Pending {
-			if nodes, ok := GreedyPlace(ctl, jid); ok {
-				ctl.Start(jid, nodes)
-			}
-		}
-		ApplyGreedyYields(ctl)
-	}}
-	simulator, err := sim.New(sim.Config{Trace: tr, CheckInvariants: true}, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := simulator.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("probe body never ran")
-	}
+	buildSimCluster(t, tr, nil, body)
 }
 
 type probe struct {
-	onArrival func(ctl *sim.Controller, jid int)
+	onArrival    func(ctl *sim.Controller, jid int)
+	onCompletion func(ctl *sim.Controller, jid int)
 }
 
 func (p *probe) Name() string                           { return "probe" }
 func (p *probe) Init(*sim.Controller)                   {}
 func (p *probe) OnArrival(ctl *sim.Controller, jid int) { p.onArrival(ctl, jid) }
-func (p *probe) OnCompletion(*sim.Controller, int)      {}
-func (p *probe) OnTimer(*sim.Controller, int64)         {}
+func (p *probe) OnCompletion(ctl *sim.Controller, jid int) {
+	if p.onCompletion != nil {
+		p.onCompletion(ctl, jid)
+	}
+}
+func (p *probe) OnTimer(*sim.Controller, int64) {}
 
 func jb(id int, submit float64, tasks int, cpu, mem, exec float64) workload.Job {
 	return workload.Job{ID: id, Submit: submit, Tasks: tasks, CPUNeed: cpu, MemReq: mem, ExecTime: exec}
@@ -99,10 +81,8 @@ func TestGreedyPlacePicksLowestLoad(t *testing.T) {
 func TestGreedyPlaceRespectsMemory(t *testing.T) {
 	tr := &workload.Trace{Name: "g", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 2, 0.1, 0.9, 100), // fills both nodes' memory
-		// Job 1 is submitted only after job 0 completes so the generic
-		// finisher can start it on an empty cluster; the placement probe
-		// below runs at t=0 while memory is still full.
-		jb(1, 200, 1, 0.1, 0.2, 100),
+		// The finisher starts job 1 once job 0 completes and frees memory.
+		jb(1, 0, 1, 0.1, 0.2, 100),
 	}}
 	buildSim(t, tr, func(ctl *sim.Controller) {
 		ctl.Start(0, []int{0, 1})
@@ -139,7 +119,7 @@ func TestGreedyPlaceStacksWhenMemoryAllows(t *testing.T) {
 	// spilling the fourth onto a loaded node.
 	tr := &workload.Trace{Name: "g", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 3, 0.9, 0.1, 100),
-		jb(1, 200, 4, 0.4, 0.1, 100),
+		jb(1, 0, 4, 0.4, 0.1, 100),
 	}}
 	buildSim(t, tr, func(ctl *sim.Controller) {
 		ctl.Start(0, []int{1, 2, 3})

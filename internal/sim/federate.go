@@ -21,13 +21,13 @@ import (
 func (s *Simulator) Now() float64 { return s.now }
 
 // JobsInSystem returns the number of jobs admitted but not yet completed
-// (pending + running + paused). In streaming mode this counts only jobs the
-// source or InjectJob has actually delivered, so it is the queue-depth
-// signal dispatch policies balance on.
+// (pending + running + paused). It counts only jobs the source or
+// InjectJob has actually delivered, so it is the queue-depth signal
+// dispatch policies balance on.
 func (s *Simulator) JobsInSystem() int { return s.remainingJobs }
 
 // CanAdmit reports whether job j could ever be admitted to this simulator's
-// cluster: it runs the exact admission checks of the streaming path —
+// cluster: it runs the exact per-job admission checks —
 // workload validation against the cluster size, per-dimension
 // unschedulability, aggregate rigid capacity, and the scheduler's own
 // CapacityChecker veto — without admitting anything. A nil return means an
@@ -55,23 +55,19 @@ func (s *Simulator) FreeTaskSlots(j workload.Job) int {
 		})
 }
 
-// InjectJob admits a job directly into a streaming-mode simulator, exactly
-// as if the configured Source had produced it: the job is validated,
-// capacity-checked, given the next jid and queued for its arrival hook
-// (arrivals outrank coincident queue events, preserving the canonical event
-// order). It is the admission path of the federation layer, whose
-// dispatcher — not a per-simulator source — decides which simulator each
-// arriving job enters. Jobs must be injected in nondecreasing submission
-// order per simulator, and never behind the simulator's clock; both
-// violations are reported as errors. Materialized (non-streaming)
-// simulators own their whole trace up front and reject injection.
+// InjectJob admits a job directly into the simulator, exactly as if its
+// source had produced it: the job is validated, capacity-checked, given
+// the next jid and queued for its arrival hook (arrivals outrank
+// coincident queue events, preserving the canonical event order). It is
+// the admission path of the federation layer, whose dispatcher — not a
+// per-simulator source — decides which simulator each arriving job
+// enters; such simulators are built over a trace with no jobs. Jobs must
+// be injected in nondecreasing submission order per simulator (after any
+// the source produced), and never behind the simulator's clock; both
+// violations are reported as errors.
 func (s *Simulator) InjectJob(j workload.Job) error {
-	if s.src == nil {
-		return fmt.Errorf("sim: InjectJob on a materialized simulator (configure a streaming Source)")
-	}
-	// Seed the calendar first: Start pushes arrival events for every job
-	// already in s.jobs, so admitting before it would double-deliver the
-	// arrival (once from the queue, once from the arrival FIFO).
+	// Start first, so the scheduler's Init hook always runs before the
+	// first injected job is admitted.
 	s.Start()
 	if j.Submit < s.now-floats.Eps {
 		return fmt.Errorf("sim: injected job %d submitted at %.6f behind the clock %.6f", j.ID, j.Submit, s.now)

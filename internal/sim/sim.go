@@ -14,9 +14,9 @@
 // which is the paper's pessimistic pause/resume model of migration.
 //
 // The engine is indexed for scale. The event calendar is a binary heap
-// (internal/eventq) holding arrivals, timers and a single tentative
-// completion event that is cancelled and re-armed as yields change. Job
-// listings (pending/running/paused) and the jobs-in-system count are
+// (internal/eventq) holding timers and a single tentative completion
+// event that is cancelled and re-armed as yields change. Job listings
+// (pending/running/paused) and the jobs-in-system count are
 // maintained incrementally on state transitions, never recomputed by
 // scanning the trace. Per-node (relative load, free memory) state lives in
 // a tournament-tree index (internal/sim/index) kept current by every
@@ -24,29 +24,31 @@
 // feasibility-pruned least-loaded-node queries are O(log n) — each
 // reproducing the historical O(nodes) scans bit for bit.
 //
-// The event loop is a step API: Start seeds the calendar,
-// HasPendingEvents/PeekNextEventTime inspect it, ProcessNextEvent advances
+// The event loop is a step API: Start admits the jobs of time 0 and runs
+// the scheduler's Init hook, HasPendingEvents/PeekNextEventTime inspect
+// the calendar and the next arrival, ProcessNextEvent advances
 // the clock by exactly one event, and Finalize produces the Result. Run is
 // precisely a loop over ProcessNextEvent, so callers can single-step a
 // simulation, interleave several simulators under one external clock, or
 // stop between any two events at no cost to the batch path.
 //
-// # Streaming
+// # Admission
 //
-// A simulator normally materializes the whole trace up front. With
-// Config.Source set (a workload.JobSource), jobs are instead pulled
-// lazily, one look-ahead job at a time: an arrival is admitted — validated,
-// capacity-checked and handed to the scheduler — only when the clock
-// reaches its submission time, and the runtime record of a completed job
-// is recycled through a free list once its completion hooks have run.
-// Config.JobSink routes each finished job's JobResult to a callback
-// instead of accumulating Result.Jobs. With all three in play the live
-// set is bounded by jobs concurrently in the system, not by trace length,
-// which is what lets a million-job trace run in a few megabytes. Event
-// order is identical to the materialized run: arrivals outrank coincident
-// queue events exactly as the materialized seeding makes them (lowest
-// sequence numbers at equal timestamps), so Results match field for field
-// — pinned by the streaming equivalence tests.
+// Every run admits jobs the same way: from a workload.JobSource, pulled
+// lazily one look-ahead job at a time. An in-memory trace is replayed
+// through workload.NewSliceSource after New has validated it and checked
+// every job's schedulability up front, so construction errors stay eager;
+// Config.Source streams jobs from elsewhere (a trace file, a generator)
+// and runs the same checks per job as it is admitted. A job is admitted —
+// validated, given the next jid and handed to the scheduler — only when
+// the clock reaches its submission time, and arrivals outrank coincident
+// queue events; jids therefore follow submission order. The runtime
+// record of a completed job is recycled through a free list once its
+// completion hooks have run, so completed jids are forgotten. Config.JobSink
+// routes each finished job's JobResult to a callback instead of
+// accumulating Result.Jobs; with a streamed source and a sink the live set
+// is bounded by jobs concurrently in the system, not by trace length,
+// which is what lets a million-job trace run in a few megabytes.
 package sim
 
 import (
@@ -167,7 +169,6 @@ type jobRT struct {
 
 // event payloads
 type (
-	arrivalEv    struct{ jid int }
 	completionEv struct{ gen uint64 }
 	timerEv      struct{ tag int64 }
 )
@@ -246,19 +247,18 @@ type Result struct {
 
 // Config configures one simulation run.
 type Config struct {
-	// Trace is the workload. In streaming mode (Source non-nil) only its
-	// metadata is used — Name, Nodes, NodeMemGB — and Trace.Jobs is
-	// ignored; otherwise its job list is the whole input.
+	// Trace is the workload. With Source nil its job list is the whole
+	// input, validated and capacity-checked by New; with Source set only
+	// its metadata is used — Name, Nodes, NodeMemGB — and Trace.Jobs is
+	// ignored.
 	Trace *workload.Trace
-	// Source, when non-nil, switches the run to streaming mode: jobs are
-	// pulled lazily, in nondecreasing submission order, as virtual time
-	// reaches their submission instant, and each job's runtime record is
-	// recycled at completion. Memory is then bounded by jobs-in-system
-	// rather than trace length. Per-job admission checks (validation,
-	// unschedulability, capacity) run on admission, so a bad job fails the
-	// run mid-stream instead of at construction. Completed jobs are
-	// forgotten: scheduler hooks and observers must not query a jid after
-	// its completion hook returned.
+	// Source, when non-nil, supplies the jobs instead of Trace.Jobs, in
+	// nondecreasing submission order. Per-job admission checks
+	// (validation, unschedulability, capacity) then run on admission, so a
+	// bad job fails the run mid-stream instead of at construction. Either
+	// way jobs are admitted as virtual time reaches their submission
+	// instant and completed jobs are forgotten: scheduler hooks and
+	// observers must not query a jid after its completion hook returned.
 	Source workload.JobSource
 	// JobSink, when non-nil, receives each completed job's JobResult as it
 	// completes instead of accumulating it in Result.Jobs (which stays
@@ -380,16 +380,14 @@ type Simulator struct {
 	running    []int // jobs in state Running
 	paused     []int // jobs in state Paused
 	visPending []int // Pending jobs whose submission time has been reached
-	bySubmit   []int // all jids ordered by (Submit, jid), activation source
-	nextAct    int   // next bySubmit entry to activate
+	nextAct    int   // next jid to activate (jids follow submission order)
 	finishBuf  []int // scratch: running snapshot for the completion sweep
 	doneBuf    []int // scratch: jids completed by the current sweep
 
-	// Streaming mode (cfg.Source != nil): one-job lookahead into the
-	// source, the FIFO of admitted jobs whose arrival hook has not fired
-	// yet, the free-list of recycled runtime records, and the admission
-	// bookkeeping. The capacity checks of the materialized constructor
-	// (maxCap, chk) are kept to re-run them per admitted job.
+	// Admission: one-job lookahead into the source, the FIFO of admitted
+	// jobs whose arrival hook has not fired yet, the free-list of recycled
+	// runtime records, and the bookkeeping of the per-job admission checks
+	// (maxCap, chk).
 	src       workload.JobSource
 	srcNext   *workload.Job
 	srcJob    workload.Job // backing storage for srcNext
@@ -411,15 +409,15 @@ type Simulator struct {
 	result        Result
 }
 
-// New creates a simulator for the given configuration and algorithm. The
-// trace is validated eagerly.
+// New creates a simulator for the given configuration and algorithm. An
+// in-memory trace (Source nil) is validated and capacity-checked eagerly.
 func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("sim: nil trace")
 	}
 	if cfg.Source != nil {
-		// Streaming mode: the trace supplies metadata only; jobs are
-		// validated one by one as they are admitted.
+		// The trace supplies metadata only; jobs are validated one by one
+		// as they are admitted.
 		if cfg.Trace.Nodes < 1 {
 			return nil, fmt.Errorf("sim: trace has no nodes")
 		}
@@ -454,16 +452,17 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 		}
 	}
 	s.chk, _ = sched.(CapacityChecker)
-	if cfg.Source != nil {
-		s.src = cfg.Source
-	} else {
-		// Materialized mode runs every admission check up front; the same
-		// checks run per job on admission in streaming mode (admit).
+	s.src = cfg.Source
+	if cfg.Source == nil {
+		// An in-memory trace runs every admission check up front, then
+		// replays through the same source path as a stream (where admit
+		// runs the checks per job).
 		for _, j := range cfg.Trace.Jobs {
 			if err := s.checkSchedulable(j); err != nil {
 				return nil, err
 			}
 		}
+		s.src = workload.NewSliceSource(cfg.Trace)
 	}
 	s.hasCost = s.cl.Priced()
 	s.usedCPU = make([]float64, n)
@@ -475,24 +474,6 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	s.nodeIdx = index.NewNodeIndex(n, func(node int) float64 {
 		return floats.NonNeg(s.cl.MemCap(node) - s.usedRigid[0][node])
 	})
-	if s.src == nil {
-		s.jobs = make([]*jobRT, len(cfg.Trace.Jobs))
-		for i, j := range cfg.Trace.Jobs {
-			s.jobs[i] = &jobRT{job: j, state: Pending, remaining: j.ExecTime, start: -1, lastPauseTime: -1, prevPauseTime: -1}
-		}
-		s.remainingJobs = len(s.jobs)
-		s.bySubmit = make([]int, len(s.jobs))
-		for jid := range s.jobs {
-			s.bySubmit[jid] = jid
-		}
-		sort.Slice(s.bySubmit, func(a, b int) bool {
-			ja, jb := s.jobs[s.bySubmit[a]], s.jobs[s.bySubmit[b]]
-			if ja.job.Submit != jb.job.Submit {
-				return ja.job.Submit < jb.job.Submit
-			}
-			return s.bySubmit[a] < s.bySubmit[b]
-		})
-	}
 	s.ctl = Controller{sim: s}
 	s.result = Result{
 		Algorithm:   sched.Name(),
@@ -543,11 +524,11 @@ func (s *Simulator) checkSchedulable(j workload.Job) error {
 	return nil
 }
 
-// peekSource maintains the one-job lookahead into the streaming source.
-// After it returns, srcNext is non-nil unless the source is exhausted or
-// failed (streamErr).
+// peekSource maintains the one-job lookahead into the source. After it
+// returns, srcNext is non-nil unless the source is exhausted or failed
+// (streamErr).
 func (s *Simulator) peekSource() {
-	if s.src == nil || s.srcNext != nil || s.srcDone || s.streamErr != nil {
+	if s.srcNext != nil || s.srcDone || s.streamErr != nil {
 		return
 	}
 	j, ok, err := s.src.Next()
@@ -604,10 +585,8 @@ func (s *Simulator) admit(j workload.Job) error {
 	rt.remaining = j.ExecTime
 	s.jobs = append(s.jobs, rt)
 	s.remainingJobs++
-	// The source contract (nondecreasing submits) makes admission order the
-	// (Submit, jid) order, so both activation and the arrival FIFO extend
-	// by plain append.
-	s.bySubmit = append(s.bySubmit, jid)
+	// The source contract (nondecreasing submits) makes jid order the
+	// (Submit, jid) order, so the arrival FIFO extends by plain append.
 	s.arrFIFO = append(s.arrFIFO, jid)
 	return nil
 }
@@ -658,8 +637,8 @@ func (s *Simulator) popArrival() {
 }
 
 // recycleDone returns the runtime records of the jobs completed by the
-// current event to the free list (streaming mode only; the completion
-// hooks for all of them have already run). The jid keeps pointing at a nil
+// current event to the free list (the completion hooks for all of them
+// have already run). The jid keeps pointing at a nil
 // entry, so any later query of a completed job fails loudly instead of
 // reading recycled state.
 func (s *Simulator) recycleDone(done []int) {
@@ -701,67 +680,56 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	return s.Finalize(), nil
 }
 
-// Start seeds the event queue with the trace's arrival events and runs the
-// scheduler's Init hook. It is idempotent; ProcessNextEvent calls it
-// implicitly, so explicit use is only needed by step-driven callers that
-// want to inspect state before the first event.
+// Start admits the jobs submitted at time 0 and runs the scheduler's Init
+// hook. It is idempotent; ProcessNextEvent calls it implicitly, so
+// explicit use is only needed by step-driven callers that want to inspect
+// state before the first event.
 func (s *Simulator) Start() {
 	if s.started {
 		return
 	}
 	s.started = true
-	for jid := range s.jobs {
-		s.queue.Push(s.jobs[jid].job.Submit, arrivalEv{jid: jid})
-	}
 	s.activateUpTo(s.now)
 	s.invoke("init", func() { s.sched.Init(&s.ctl) })
 }
 
-// HasPendingJobs reports whether any job has yet to complete — including,
-// in streaming mode, jobs the source has not produced yet. Run processes
-// events until this turns false.
+// HasPendingJobs reports whether any job has yet to complete — including
+// jobs the source has not produced yet. Run processes events until this
+// turns false.
 func (s *Simulator) HasPendingJobs() bool {
-	if s.remainingJobs > 0 || s.streamErr != nil {
+	if s.remainingJobs > 0 {
 		return true
 	}
-	if s.src != nil {
-		s.peekSource()
-		return s.srcNext != nil || s.streamErr != nil
-	}
-	return false
+	s.peekSource()
+	return s.srcNext != nil || s.streamErr != nil
 }
 
 // HasPendingEvents reports whether the event queue holds at least one
-// armed event (in streaming mode, a not-yet-fired arrival counts). Timer
-// events may outlive the last job, so this can stay true after
-// HasPendingJobs turns false; Run stops at job completion.
+// armed event or a not-yet-fired arrival. Timer events may outlive the
+// last job, so this can stay true after HasPendingJobs turns false; Run
+// stops at job completion.
 func (s *Simulator) HasPendingEvents() bool {
 	s.Start()
 	if s.queue.Len() > 0 || len(s.arrFIFO) > 0 {
 		return true
 	}
-	if s.src != nil {
-		s.peekSource()
-		return s.srcNext != nil
-	}
-	return false
+	s.peekSource()
+	return s.srcNext != nil
 }
 
-// PeekNextEventTime returns the timestamp of the next armed event without
-// processing it. ok is false when the queue is empty.
+// PeekNextEventTime returns the timestamp of the next armed event or
+// arrival without processing it. ok is false when there is none.
 func (s *Simulator) PeekNextEventTime() (t float64, ok bool) {
 	s.Start()
 	ev := s.queue.Peek()
-	if s.src != nil {
-		at, okA := 0.0, false
-		if len(s.arrFIFO) > 0 {
-			at, okA = s.jobs[s.arrFIFO[0]].job.Submit, true
-		} else if s.peekSource(); s.srcNext != nil {
-			at, okA = s.srcNext.Submit, true
-		}
-		if okA && (ev == nil || at <= ev.Time) {
-			return at, true
-		}
+	at, okA := 0.0, false
+	if len(s.arrFIFO) > 0 {
+		at, okA = s.jobs[s.arrFIFO[0]].job.Submit, true
+	} else if s.peekSource(); s.srcNext != nil {
+		at, okA = s.srcNext.Submit, true
+	}
+	if okA && (ev == nil || at <= ev.Time) {
+		return at, true
 	}
 	if ev == nil {
 		return 0, false
@@ -779,26 +747,21 @@ func (s *Simulator) ProcessNextEvent() error {
 	if s.streamErr != nil {
 		return s.streamErr
 	}
-	if s.src != nil {
-		if jid, at, ok := s.nextArrival(); ok {
-			// Arrivals outrank coincident completions and timers: the
-			// materialized engine pushes every arrival event before the run
-			// starts, so at equal timestamps its sequence number is lower
-			// than any event armed later.
-			if ev := s.queue.Peek(); ev == nil || at <= ev.Time {
-				s.popArrival()
-				s.advance(at)
-				s.result.Events++
-				s.record(TlSubmit, jid, 0, 0)
-				if s.obs != nil {
-					s.obs.JobSubmitted(s.now, jid)
-				}
-				s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, jid) })
-				return s.finishEvent()
+	if jid, at, ok := s.nextArrival(); ok {
+		// Arrivals outrank coincident completions and timers.
+		if ev := s.queue.Peek(); ev == nil || at <= ev.Time {
+			s.popArrival()
+			s.advance(at)
+			s.result.Events++
+			s.record(TlSubmit, jid, 0, 0)
+			if s.obs != nil {
+				s.obs.JobSubmitted(s.now, jid)
 			}
-		} else if s.streamErr != nil {
-			return s.streamErr
+			s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, jid) })
+			return s.finishEvent()
 		}
+	} else if s.streamErr != nil {
+		return s.streamErr
 	}
 	ev := s.queue.Pop()
 	if ev == nil {
@@ -811,12 +774,6 @@ func (s *Simulator) ProcessNextEvent() error {
 	s.advance(ev.Time)
 	s.result.Events++
 	switch p := ev.Payload.(type) {
-	case arrivalEv:
-		s.record(TlSubmit, p.jid, 0, 0)
-		if s.obs != nil {
-			s.obs.JobSubmitted(s.now, p.jid)
-		}
-		s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, p.jid) })
 	case completionEv:
 		if p.gen != s.completionGen {
 			break // stale tentative completion
@@ -826,9 +783,7 @@ func (s *Simulator) ProcessNextEvent() error {
 		for _, jid := range done {
 			s.invoke("completion", func() { s.sched.OnCompletion(&s.ctl, jid) })
 		}
-		if s.src != nil {
-			s.recycleDone(done)
-		}
+		s.recycleDone(done)
 	case timerEv:
 		s.invoke("timer", func() { s.sched.OnTimer(&s.ctl, p.tag) })
 	}
@@ -910,24 +865,22 @@ func (s *Simulator) advance(t float64) {
 }
 
 // activateUpTo makes every still-pending job submitted at or before t
-// visible to the scheduler-facing job listings. bySubmit orders jobs by
-// submission time, so the sweep resumes where the previous one stopped and
-// each job is considered exactly once across the whole run.
+// visible to the scheduler-facing job listings. It first admits every
+// source job submitted by t; the clock never passes an unadmitted
+// submission (arrivals outrank coincident events), so no job is skipped.
+// Jids follow submission order, so the sweep resumes where the previous
+// one stopped and each job is considered exactly once across the whole
+// run. A job cannot complete before it is activated, so the records the
+// sweep reads are never recycled ones.
 func (s *Simulator) activateUpTo(t float64) {
-	if s.src != nil {
-		// Streaming: pull every source job submitted by t into the system
-		// first, so the activation sweep below sees it. The clock never
-		// passes an unadmitted submission (arrivals outrank coincident
-		// events), so no job is skipped.
-		s.admitThrough(t)
-	}
-	for s.nextAct < len(s.bySubmit) {
-		jid := s.bySubmit[s.nextAct]
-		if s.jobs[jid].job.Submit > t {
+	s.admitThrough(t)
+	for s.nextAct < len(s.jobs) {
+		j := s.jobs[s.nextAct]
+		if j.job.Submit > t {
 			return
 		}
-		if s.jobs[jid].state == Pending {
-			s.visPending = insertJid(s.visPending, jid)
+		if j.state == Pending {
+			s.visPending = insertJid(s.visPending, s.nextAct)
 		}
 		s.nextAct++
 	}
@@ -1179,7 +1132,7 @@ func (s *Simulator) validate() error {
 	remaining := 0
 	for jid, j := range s.jobs {
 		if j == nil {
-			continue // completed and recycled (streaming mode)
+			continue // completed and recycled
 		}
 		inList := func(list []int) bool {
 			i := sort.SearchInts(list, jid)

@@ -1,12 +1,12 @@
 package sim_test
 
-// Streaming-mode equivalence battery: every algorithm of the paper runs
-// the same trace twice — materialized (the whole job list handed to the
-// simulator up front) and streaming (jobs pulled lazily from a JobSource,
-// runtime records recycled at completion) — and the Results must match
-// field for field, job for job. The event sequences must also be the same
-// length, which pins the arrival-vs-queue tie-breaking to the materialized
-// engine's (time, sequence) order.
+// Source equivalence battery: every algorithm of the paper runs the same
+// trace twice — as an in-memory trace (Config.Trace.Jobs, checked up front
+// by New) and as an explicit Config.Source over a metadata-only trace
+// (jobs checked as they are admitted) — and the Results must match field
+// for field, job for job, with the same number of events. Both runs admit
+// jobs through the one source path; this pins that the up-front checks
+// and the per-job checks agree and change nothing else.
 
 import (
 	"math"

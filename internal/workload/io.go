@@ -27,8 +27,8 @@ import (
 // The format can be both written and read as a stream: TraceEncoder emits
 // one job at a time (dfrs-gen generates million-job traces without
 // materializing them) and TraceReader parses one job at a time (the
-// simulator's streaming mode admits jobs as virtual time reaches them, so
-// memory is bounded by jobs-in-system, not trace length).
+// simulator admits jobs as virtual time reaches them, so a streamed trace
+// keeps memory bounded by jobs-in-system, not trace length).
 
 // maxLineBytes bounds a single trace line. A line of the format is a few
 // dozen bytes; the guard exists so a corrupt or non-trace input fails with
@@ -36,7 +36,7 @@ import (
 const maxLineBytes = 1 << 20
 
 // JobSource is a lazily-consumed stream of jobs in nondecreasing
-// submission order — the simulator's streaming input. Next returns the
+// submission order — the simulator's one job input. Next returns the
 // next job with ok=true; ok=false ends the stream, with err nil on normal
 // exhaustion.
 type JobSource interface {
