@@ -17,6 +17,13 @@ type Scheduler = sim.Scheduler
 // cluster state: job snapshots, per-node loads and capacities, and the
 // Section II-B1 operations (Start, Pause, Resume, Migrate, SetYield,
 // SetTimer).
+//
+// A jid exists only from the job's submission until its completion hook
+// returns. Jobs are admitted lazily, so NumJobs counts the jids issued so
+// far rather than the trace length; a completed job's record is recycled
+// after its OnCompletion hook, so its jid must not be queried later.
+// Controller.Job panics on a jid that is not yet admitted or already
+// forgotten.
 type Controller = sim.Controller
 
 // JobInfo is a read-only snapshot of one job's simulation state, as
@@ -34,7 +41,9 @@ const (
 	JobRunning = sim.Running
 	// JobPaused jobs were preempted and hold no resources.
 	JobPaused = sim.Paused
-	// JobDone jobs have completed.
+	// JobDone jobs have completed. A completed job is forgotten once its
+	// completion hook returns, so JobDone is visible only inside
+	// OnCompletion: JobsInState(JobDone) is empty anywhere else.
 	JobDone = sim.Done
 )
 

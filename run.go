@@ -261,6 +261,11 @@ type Result struct {
 // event granularity with an error wrapping ctx.Err(); context.Background()
 // runs to completion. Options default to the paper's homogeneous platform
 // with no rescheduling penalty.
+//
+// Run admits jobs exactly as RunStream does: each job gets its jid when
+// virtual time reaches its submission instant, and its record is forgotten
+// once its completion hook returns. A Scheduler may therefore address a jid
+// through its Controller only between those two points (see Controller).
 func Run(ctx context.Context, t Trace, algorithm string, opts ...RunOption) (Result, error) {
 	return runTrace(ctx, t.t, t.t.Dims(), nil, algorithm, opts)
 }
@@ -281,9 +286,9 @@ func RunStream(ctx context.Context, r io.Reader, algorithm string, opts ...RunOp
 }
 
 // runTrace is the shared engine of Run and RunStream: it materializes the
-// platform from the options and executes the simulation. In streaming mode
-// (source non-nil) t carries metadata only and dims comes from the trace
-// header rather than a job scan.
+// platform from the options and executes the simulation. When source is
+// non-nil, t carries metadata only and dims comes from the trace header
+// rather than a job scan.
 func runTrace(ctx context.Context, t *workload.Trace, dims int, source workload.JobSource, algorithm string, opts []RunOption) (Result, error) {
 	cfg := runConfig{maxSimTime: defaultMaxSimTime}
 	for _, opt := range opts {
