@@ -3,6 +3,7 @@ package dfrs_test
 // Golden campaign lock: reduced versions of the paper's campaigns (Figure
 // 1a/1b, Tables I/II) and of the scenario axes layered on top of them
 // (heterogeneous and GPU node mixes, the cost objective on a priced mix,
+// every family's node selection under default and cost objectives,
 // federated dispatch) run through the public campaign API, and the SHA-256
 // of each grid's key-sorted JSONL must match testdata/campaign_golden.json.
 // Refactors that claim "same behaviour" are held to it. Regenerate the file
@@ -79,6 +80,17 @@ func goldenGrids() map[string]dfrs.Grid {
 	priced.Objectives = []string{"cost"}
 	priced.Loads = []float64{0.5, 0.9}
 
+	// Every scheduler family's node selection — batch, gang, greedy and
+	// DYNMCB8-ASAP's immediate placement — on the two-resource bimodal
+	// mixes (the greedy node-index path) and the three-resource GPU mix
+	// (the greedy scan), under the family default and the cost objective.
+	families := base("placement-families", []string{
+		"fcfs", "easy", "conservative", "gang", "greedy", "greedy-pmtn", "dynmcb8-asap-per",
+	})
+	families.NodeMixes = []string{"bimodal", "bimodal-priced", "gpu-uniform"}
+	families.Objectives = []string{"", "cost"}
+	families.Loads = []float64{0.5, 0.9}
+
 	fed := base("federated", []string{"greedy", "dynmcb8-asap-per"})
 	fed.Penalties = []float64{experiments.PaperPenalty}
 	fed.Loads = []float64{0.9}
@@ -87,7 +99,7 @@ func goldenGrids() map[string]dfrs.Grid {
 	fed.Dispatchers = []string{"roundrobin", "queuedepth", "costaware"}
 
 	grids := map[string]dfrs.Grid{}
-	for _, g := range []dfrs.Grid{fig1a, fig1b, table1, table2, het, gpu, priced, fed} {
+	for _, g := range []dfrs.Grid{fig1a, fig1b, table1, table2, het, gpu, priced, families, fed} {
 		grids[g.Name] = g
 	}
 	return grids
