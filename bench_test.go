@@ -227,8 +227,10 @@ func (s *benchState) Cost(node int) float64    { return s.cost[node] }
 // BenchmarkObjectiveScore measures one full selection scan — scoring all
 // 128 candidates of a bimodal priced platform through the objective
 // indirection and picking the argmin — for each built-in objective. This
-// is the per-task overhead every scheduler family pays when a placement
-// objective is configured; the default (nil-objective) paths bypass it.
+// is the per-task cost of greedy placement under a configured objective,
+// and of its default LoadBalance on platforms beyond two resources; only
+// the two-resource default answers from the node index instead. Under
+// First, Pick skips scoring and returns the first feasible node.
 func BenchmarkObjectiveScore(b *testing.B) {
 	const n, d = 128, 3
 	st := &benchState{

@@ -117,8 +117,19 @@ type JobRanker interface {
 // obj.Score — ties by the objective's Secondary score when it implements
 // TieBreaker, then toward the lowest node id — or -1 when no node is
 // feasible. feasible must be non-nil; it implements the scheduler's own
-// hard constraints (the filter half of the filter/score split).
+// hard constraints (the filter half of the filter/score split). Under
+// First every score ties, so Pick returns the first feasible node without
+// scoring any: the batch and gang families' published rule costs one
+// filter pass.
 func Pick(n int, dem Demand, st State, feasible func(node int) bool, obj Objective) int {
+	if _, ok := obj.(First); ok {
+		for node := 0; node < n; node++ {
+			if feasible(node) {
+				return node
+			}
+		}
+		return -1
+	}
 	tb, _ := obj.(TieBreaker)
 	best := -1
 	var bestScore, bestSec float64
@@ -149,12 +160,17 @@ func Pick(n int, dem Demand, st State, feasible func(node int) bool, obj Objecti
 }
 
 // Rank orders the candidate node ids by ascending (score, secondary, id) —
-// the same comparison as Pick — and returns them in a new slice;
-// candidates is not modified. It is the k-node counterpart of Pick used by
-// schedulers that take several nodes in one decision (batch baselines
-// allocating whole nodes). With an all-constant objective (First) the
-// result is simply the candidates sorted by id.
+// the same comparison as Pick. It is the k-node counterpart of Pick used
+// by schedulers that take several nodes in one decision (batch baselines
+// allocating whole nodes, packers ordering their bins). Rank never
+// modifies candidates. Under First the order is ascending id, so when
+// candidates is already in id order Rank returns candidates itself
+// (callers that modify the result must copy it); otherwise the result is
+// a new slice.
 func Rank(candidates []int, dem Demand, st State, obj Objective) []int {
+	if _, ok := obj.(First); ok && sort.IntsAreSorted(candidates) {
+		return candidates
+	}
 	tb, _ := obj.(TieBreaker)
 	perm := make([]int, len(candidates))
 	scores := make([]float64, len(candidates))

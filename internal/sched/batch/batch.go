@@ -33,43 +33,50 @@ func init() {
 }
 
 // nodePool tracks which nodes are exclusively held by batch jobs and which
-// of them can host a given job's tasks at yield 1.0. The CPU and memory
-// capacities are cached as flat arrays because the eligibility predicate
-// sits in the dispatch and reservation hot loops. Nodes are additionally
-// grouped into capacity classes (identical capacity vectors): eligibility
-// depends only on a node's capacities, so the eligible-free count collapses
-// to one fits check per class against a running per-class free count —
-// O(classes) instead of O(free nodes) per query, with one or two classes on
-// the paper's platforms. The objective, when non-nil, selects which
-// eligible free nodes a job takes (see takeFor); nil is the published rule
-// — node-id order, the First objective.
+// of them can host a given job's tasks at yield 1.0. Nodes are grouped
+// into capacity classes (identical capacity vectors): eligibility depends
+// only on a node's capacities, so it is evaluated once per class — the
+// eligible-free count is one fits check per class against a running
+// per-class free count, O(classes) instead of O(free nodes) per query,
+// with one or two classes on the paper's platforms. The objective selects
+// which eligible free nodes a job takes (see takeFor); the run's default
+// is placement.First, the published node-id order.
 type nodePool struct {
-	cl             *cluster.Cluster
-	cpuCap, memCap []float64 // per-node caches of dimensions 0/1
-	multiDim       bool      // cluster has dimensions beyond (cpu, mem)
-	free           []int     // sorted free node ids
-	obj            placement.Objective
+	cl   *cluster.Cluster
+	free []int // sorted free node ids
+	obj  placement.Objective
 
 	classOf   []int  // node -> capacity class
 	reps      []int  // class -> lowest-numbered member node
 	classFree []int  // class -> number of free nodes
 	classFits []bool // scratch: class -> fits result for one job
+
+	// takeFor scratch, reused across calls so taking nodes allocates only
+	// the returned slice.
+	eligible []int            // eligible free nodes, in id order
+	taken    []bool           // node -> taken by the current call
+	job      *workload.Job    // the job being placed, read by dem
+	dem      placement.Demand // job.Demand, bound once per pool
 }
 
+// newNodePool builds the pool over cl with every node free. A nil obj
+// means the run configured no objective: the pool takes nodes under
+// placement.First, the published rule.
 func newNodePool(cl *cluster.Cluster, obj placement.Objective) *nodePool {
+	if obj == nil {
+		obj = placement.First{}
+	}
 	n := cl.N()
 	p := &nodePool{
 		cl:       cl,
-		cpuCap:   make([]float64, n),
-		memCap:   make([]float64, n),
-		multiDim: cl.D() > cluster.MinDims,
 		free:     make([]int, n),
 		obj:      obj,
+		eligible: make([]int, 0, n),
+		taken:    make([]bool, n),
 	}
+	p.dem = func(k int) float64 { return p.job.Demand(k) }
 	for i := range p.free {
 		p.free[i] = i
-		p.cpuCap[i] = cl.CPUCap(i)
-		p.memCap[i] = cl.MemCap(i)
 	}
 	p.classOf, p.reps = index.Classes(cl.Nodes)
 	p.classFree = make([]int, len(p.reps))
@@ -130,18 +137,7 @@ func nodeFitsExtra(cl *cluster.Cluster, node int, j *workload.Job) bool {
 }
 
 // fits reports whether a node can exclusively host one task of the job.
-// The CPU/memory comparisons run against the pool's flat caches — this
-// predicate sits in the dispatch and reservation hot loops — and only the
-// dimensions beyond the pair go through the generic path.
-func (p *nodePool) fits(node int, j *workload.Job) bool {
-	if p.cpuCap[node] < j.CPUNeed || p.memCap[node] < j.MemReq {
-		return false
-	}
-	if !p.multiDim && len(j.Extra) == 0 {
-		return true
-	}
-	return nodeFitsExtra(p.cl, node, j)
-}
+func (p *nodePool) fits(node int, j *workload.Job) bool { return nodeFits(p.cl, node, j) }
 
 // wholeNodeAdmission implements sim.CapacityChecker for the batch family:
 // allocations are integral and exclusive, so a job is only ever served
@@ -194,55 +190,36 @@ func (p *nodePool) freeFor(j *workload.Job) int {
 	return n
 }
 
-// takeFor removes and returns k free nodes eligible for the job: the
-// first k in node-id order (deterministic, the published rule) with no
-// objective configured, or the k best under the objective's score (ties by
-// id) otherwise. The caller must have checked freeFor(j) >= k.
+// takeFor removes and returns k free nodes eligible for the job: the k
+// best under the pool's objective by placement.Rank (ties by id), which
+// under the default First objective are the first k in node-id order. The
+// caller must have checked freeFor(j) >= k.
 func (p *nodePool) takeFor(j *workload.Job, k int) []int {
-	if p.obj != nil {
-		return p.takeForObjective(j, k)
+	fits := p.fitsFor(j)
+	p.eligible = p.eligible[:0]
+	for _, node := range p.free {
+		if fits[p.classOf[node]] {
+			p.eligible = append(p.eligible, node)
+		}
 	}
-	nodes := make([]int, 0, k)
+	p.job = j
+	ranked := placement.Rank(p.eligible, p.dem, poolState{p}, p.obj)
+	p.job = nil
+	nodes := append(make([]int, 0, k), ranked[:k]...)
+	for _, node := range nodes {
+		p.taken[node] = true
+		p.classFree[p.classOf[node]]--
+	}
 	kept := p.free[:0]
 	for _, node := range p.free {
-		if len(nodes) < k && p.fits(node, j) {
-			nodes = append(nodes, node)
-			p.classFree[p.classOf[node]]--
+		if p.taken[node] {
+			p.taken[node] = false
 			continue
 		}
 		kept = append(kept, node)
 	}
 	p.free = kept
 	return nodes
-}
-
-// takeForObjective is the objective-scored variant of takeFor: rank the
-// eligible free nodes by ascending (score, id) and take the k best.
-func (p *nodePool) takeForObjective(j *workload.Job, k int) []int {
-	eligible := make([]int, 0, len(p.free))
-	for _, node := range p.free {
-		if p.fits(node, j) {
-			eligible = append(eligible, node)
-		}
-	}
-	ranked := placement.Rank(eligible, j.Demand, poolState{p}, p.obj)
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	taken := make(map[int]bool, len(ranked))
-	for _, node := range ranked {
-		taken[node] = true
-	}
-	kept := p.free[:0]
-	for _, node := range p.free {
-		if !taken[node] {
-			kept = append(kept, node)
-		} else {
-			p.classFree[p.classOf[node]]--
-		}
-	}
-	p.free = kept
-	return ranked
 }
 
 // give returns nodes to the pool, keeping it sorted for determinism.

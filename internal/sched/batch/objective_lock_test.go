@@ -1,9 +1,11 @@
 package batch
 
-// Frozen-copy lock for the batch family's eligible-node choice: the PR 4
-// takeFor loop (first k eligible free nodes in id order), kept here
-// verbatim, must match both the refactored nil-objective path and the
-// placement-routed path under the First objective over random pools.
+// Reference-implementation lock for the batch family's eligible-node
+// choice: legacyTakeFor, the PR 4 takeFor loop kept verbatim (the first k
+// eligible free nodes in id order, the published rule), must match
+// takeFor — which ranks the eligible nodes through placement.Rank under
+// the pool's objective — for a pool built with no objective (resolved to
+// First) and with First spelled out, over random pools.
 
 import (
 	"math/rand"
@@ -15,8 +17,9 @@ import (
 	"repro/internal/workload"
 )
 
-// legacyTakeFor is the PR 4 nodePool.takeFor, frozen verbatim (operating
-// on a copy of the free list so the pool can be reused).
+// legacyTakeFor is the PR 4 nodePool.takeFor, frozen verbatim as the
+// reference implementation (operating on a copy of the free list so the
+// pool can be reused).
 func legacyTakeFor(p *nodePool, j *workload.Job, k int) (nodes, kept []int) {
 	free := append([]int(nil), p.free...)
 	nodes = make([]int, 0, k)

@@ -56,6 +56,9 @@ type Scheduler struct {
 	// placed[jid] = row index.
 	placed map[int]int
 	queue  []int
+	// obj chooses among a row's feasible nodes: the run's objective, or
+	// placement.First (the published first-fit) when none is configured.
+	obj placement.Objective
 }
 
 type row struct {
@@ -108,6 +111,10 @@ func (g *Scheduler) Init(ctl *sim.Controller) {
 	}
 	g.placed = map[int]int{}
 	g.queue = nil
+	g.obj = ctl.Objective()
+	if g.obj == nil {
+		g.obj = placement.First{}
+	}
 	ctl.SetTimer(ctl.Now()+g.quantum, tickTag)
 }
 
@@ -198,12 +205,10 @@ func (s rowState) Cost(node int) float64 { return s.ctl.NodeCost(node) }
 // the row (need sums to at most the node's CPU capacity per slice, so the
 // row can run at yield 1) and global headroom in every rigid dimension
 // (memory, GPU, ...) across all rows. On a homogeneous cluster both
-// capacities are 1.0, the published formulation. With no objective
-// configured each task takes the first feasible node in id order (the
-// First objective, inlined); a configured objective picks the feasible
-// node with the best score instead.
+// capacities are 1.0, the published formulation. Each task takes the
+// feasible node placement.Pick selects under the scheduler's objective —
+// by default First, the first feasible node in id order.
 func (g *Scheduler) fitInRow(ctl *sim.Controller, ji sim.JobInfo, r *row, n int) ([]int, bool) {
-	obj := ctl.Objective()
 	nodes := make([]int, 0, ji.Job.Tasks)
 	planLoad := make([]float64, n)
 	planRigid := make([][]float64, len(g.rigidUse))
@@ -221,20 +226,10 @@ func (g *Scheduler) fitInRow(ctl *sim.Controller, ji sim.JobInfo, r *row, n int)
 		}
 		return true
 	}
-	st := rowState{g: g, ctl: ctl, r: r, planLoad: planLoad, planRigid: planRigid}
+	var st placement.State = rowState{g: g, ctl: ctl, r: r, planLoad: planLoad, planRigid: planRigid}
 	dem := placement.Demand(ji.Job.Demand)
 	for task := 0; task < ji.Job.Tasks; task++ {
-		found := -1
-		if obj != nil {
-			found = placement.Pick(n, dem, st, feasible, obj)
-		} else {
-			for node := 0; node < n; node++ {
-				if feasible(node) {
-					found = node
-					break
-				}
-			}
-		}
+		found := placement.Pick(n, dem, st, feasible, g.obj)
 		if found < 0 {
 			return nil, false
 		}

@@ -1,14 +1,16 @@
 package sched
 
-// Tests for the multi-job planning path: GreedyPlaceExtra with a Plan
-// carrying hypothetical usage from earlier placement decisions in the same
-// scheduling event, and for capacity-aware greedy placement on
-// heterogeneous clusters.
+// Tests for greedy placement's two selections — the node-index query on
+// the two-resource platform and the placement.Pick scan everywhere else —
+// and for capacity-aware greedy placement on heterogeneous clusters.
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -51,71 +53,19 @@ func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body
 	}
 }
 
-// TestGreedyPlaceExtraAccountsPlannedMemory: a plan holding one node's
-// memory forces the next placement onto the other node, even though the
-// simulator still sees both nodes as free.
-func TestGreedyPlaceExtraAccountsPlannedMemory(t *testing.T) {
-	tr := &workload.Trace{Name: "plan", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 1, 0.2, 0.6, 100),
-		jb(1, 0, 1, 0.2, 0.6, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes0, ok := GreedyPlaceExtra(ctl, 0, plan)
-		if !ok {
-			t.Fatal("job 0 placement failed")
-		}
-		plan.Commit(nodes0, 0.6, 0.2)
-		nodes1, ok := GreedyPlaceExtra(ctl, 1, plan)
-		if !ok {
-			t.Fatal("job 1 placement failed under plan")
-		}
-		if nodes1[0] == nodes0[0] {
-			t.Errorf("planned memory ignored: both 0.6-mem tasks on node %d", nodes0[0])
-		}
-	})
+// scanCase is one platform a greedy placement test runs on: the
+// two-resource cluster (node-index path) or the same capacities with a
+// GPU dimension added (placement.Pick scan path).
+type scanCase struct {
+	name string
+	cl   *cluster.Cluster
 }
 
-// TestGreedyPlaceExtraAccountsPlannedLoad: planned CPU load steers the next
-// task to the other node even with ample memory everywhere.
-func TestGreedyPlaceExtraAccountsPlannedLoad(t *testing.T) {
-	tr := &workload.Trace{Name: "plan", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 1, 0.8, 0.1, 100),
-		jb(1, 0, 1, 0.8, 0.1, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes0, _ := GreedyPlaceExtra(ctl, 0, plan)
-		plan.Commit(nodes0, 0.1, 0.8)
-		nodes1, ok := GreedyPlaceExtra(ctl, 1, plan)
-		if !ok {
-			t.Fatal("job 1 placement failed under plan")
-		}
-		if nodes1[0] == nodes0[0] {
-			t.Errorf("planned load ignored: both 0.8-need tasks on node %d", nodes0[0])
-		}
-	})
-}
-
-// TestGreedyPlaceExtraPlanFillsMemory: once the plan has consumed all
-// memory, further placements must fail rather than oversubscribe.
-func TestGreedyPlaceExtraPlanFillsMemory(t *testing.T) {
-	tr := &workload.Trace{Name: "plan", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 2, 0.1, 0.7, 100),
-		// The finisher starts job 1 once job 0 completes and frees memory.
-		jb(1, 0, 1, 0.1, 0.7, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes0, ok := GreedyPlaceExtra(ctl, 0, plan)
-		if !ok {
-			t.Fatal("job 0 placement failed")
-		}
-		plan.Commit(nodes0, 0.7, 0.1)
-		if _, ok := GreedyPlaceExtra(ctl, 1, plan); ok {
-			t.Error("placement succeeded although the plan holds all memory")
-		}
-	})
+// scanCases returns the d=2 cluster over specs and its d=3 gpu-uniform
+// extension (one GPU unit per node).
+func scanCases(specs []cluster.NodeSpec) []scanCase {
+	cl := cluster.New(specs)
+	return []scanCase{{"d2-index", cl}, {"d3-scan", cl.ExtendUnit(3)}}
 }
 
 // TestGreedyPlacePrefersFatNodesRelativeLoad: on a fat/thin cluster the
@@ -125,36 +75,37 @@ func TestGreedyPlacePrefersFatNodesRelativeLoad(t *testing.T) {
 	tr := &workload.Trace{Name: "het", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 1, 0.6, 0.1, 100),
 		jb(1, 0, 1, 0.4, 0.1, 100),
+		jb(2, 0, 1, 0.4, 0.1, 100),
 	}}
-	cl := cluster.New([]cluster.NodeSpec{
-		cluster.Spec(2, 2),
-		cluster.Spec(1, 1),
-	})
-	buildSimCluster(t, tr, cl, func(ctl *sim.Controller) {
-		// Load the fat node with 0.6: relative load 0.3 versus 0 on the
-		// reference node, so job 1 goes to the reference node.
-		ctl.Start(0, []int{0})
-		ctl.SetYield(0, 1)
-		nodes, ok := GreedyPlace(ctl, 1)
-		if !ok {
-			t.Fatal("placement failed")
-		}
-		if nodes[0] != 1 {
-			t.Errorf("picked node %d, want the idle reference node 1", nodes[0])
-		}
-		// Load the reference node with 0.4 too (relative 0.4 > 0.3): the
-		// next placement must prefer the fat node again.
-		ctl.Start(1, []int{1})
-		ctl.SetYield(1, 1)
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes2, ok := GreedyPlaceExtra(ctl, 1, plan)
-		if !ok {
-			t.Fatal("hypothetical placement failed")
-		}
-		if nodes2[0] != 0 {
-			t.Errorf("relative load ignored: picked node %d, want fat node 0", nodes2[0])
-		}
-	})
+	for _, c := range scanCases([]cluster.NodeSpec{cluster.Spec(2, 2), cluster.Spec(1, 1)}) {
+		t.Run(c.name, func(t *testing.T) {
+			buildSimCluster(t, tr, c.cl, func(ctl *sim.Controller) {
+				// Load the fat node with 0.6: relative load 0.3 versus 0
+				// on the reference node, so job 1 goes to the reference
+				// node.
+				ctl.Start(0, []int{0})
+				ctl.SetYield(0, 1)
+				nodes, ok := GreedyPlace(ctl, 1)
+				if !ok {
+					t.Fatal("placement failed")
+				}
+				if nodes[0] != 1 {
+					t.Errorf("picked node %d, want the idle reference node 1", nodes[0])
+				}
+				// Load the reference node with 0.4 too (relative 0.4 >
+				// 0.3): the next placement must prefer the fat node again.
+				ctl.Start(1, []int{1})
+				ctl.SetYield(1, 1)
+				nodes, ok = GreedyPlace(ctl, 2)
+				if !ok {
+					t.Fatal("placement failed")
+				}
+				if nodes[0] != 0 {
+					t.Errorf("relative load ignored: picked node %d, want fat node 0", nodes[0])
+				}
+			})
+		})
+	}
 }
 
 // TestGreedyPlaceRespectsThinNodeMemory: a task whose memory requirement
@@ -176,4 +127,99 @@ func TestGreedyPlaceRespectsThinNodeMemory(t *testing.T) {
 			t.Errorf("0.8-memory task on 0.5-capacity node: %v", nodes)
 		}
 	})
+}
+
+// indexSnapshot is everything the node index answers: every leaf, the root
+// maximum and argmin queries at several memory demands.
+type indexSnapshot struct {
+	loads, mems []float64
+	maxLoad     float64
+	argmins     []int
+}
+
+func snapshotIndex(ctl *sim.Controller) indexSnapshot {
+	t := ctl.NodeIndex()
+	var s indexSnapshot
+	for node := 0; node < ctl.NumNodes(); node++ {
+		s.loads = append(s.loads, t.Load(node))
+		s.mems = append(s.mems, t.FreeMem(node))
+	}
+	s.maxLoad = ctl.MaxCPULoad()
+	for _, memReq := range []float64{0, 0.25, 0.5, 1, 1.5} {
+		s.argmins = append(s.argmins, t.ArgminLoad(memReq))
+	}
+	return s
+}
+
+// TestIndexedPlacementMatchesScan is the differential check of the node
+// index path: on random two-resource controller states with multi-task
+// jobs, GreedyPlace (which answers from the index when no objective is
+// configured) must choose exactly the nodes of the placement.Pick scan
+// under LoadBalance, and the index must read the same before and after
+// every call — on success and on failure — and agree with the live
+// per-node values, so no tentative overlay leaks into the simulator.
+func TestIndexedPlacementMatchesScan(t *testing.T) {
+	var placed, failed int
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(14)
+		caps := []float64{0.5, 1, 2}
+		specs := make([]cluster.NodeSpec, n)
+		for i := range specs {
+			specs[i] = cluster.Spec(caps[r.Intn(3)], caps[r.Intn(3)])
+		}
+		cl := cluster.New(specs)
+		jobs := make([]workload.Job, 12)
+		for i := range jobs {
+			jobs[i] = jb(i, 0, 1+r.Intn(min(6, n)), 0.05+0.95*r.Float64(), 0.05+0.45*r.Float64(), 10+100*r.Float64())
+		}
+		tr := &workload.Trace{Name: "diff", Nodes: n, NodeMemGB: 8, Jobs: jobs}
+		buildSimCluster(t, tr, cl, func(ctl *sim.Controller) {
+			// Random starting state: the first jobs go to random nodes
+			// with room for their memory.
+			for jid := 0; jid < 4; jid++ {
+				j := ctl.JobRef(jid)
+				used := make([]float64, n)
+				nodes := make([]int, 0, j.Tasks)
+				for task := 0; task < j.Tasks; task++ {
+					node := r.Intn(n)
+					if ctl.FreeMem(node)-used[node] < j.MemReq {
+						break
+					}
+					used[node] += j.MemReq
+					nodes = append(nodes, node)
+				}
+				if len(nodes) == j.Tasks {
+					ctl.Start(jid, nodes)
+				}
+			}
+			for _, jid := range ctl.JobsInState(sim.Pending) {
+				before := snapshotIndex(ctl)
+				for node := 0; node < n; node++ {
+					if before.loads[node] != ctl.CPULoad(node)/ctl.CPUCap(node) || before.mems[node] != ctl.FreeMem(node) {
+						t.Fatalf("seed %d: index leaf %d disagrees with the live node state", seed, node)
+					}
+				}
+				want, wantOK := greedyPlaceScan(ctl, ctl.JobRef(jid), placement.LoadBalance{})
+				got, ok := GreedyPlace(ctl, jid)
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d job %d: index path = %v (ok %v), LoadBalance scan = %v (ok %v)",
+						seed, jid, got, ok, want, wantOK)
+				}
+				if after := snapshotIndex(ctl); !reflect.DeepEqual(after, before) {
+					t.Fatalf("seed %d job %d (ok %v): node index changed across GreedyPlace:\nbefore %+v\nafter  %+v",
+						seed, jid, ok, before, after)
+				}
+				if ok {
+					placed++
+					ctl.Start(jid, got)
+				} else {
+					failed++
+				}
+			}
+		})
+	}
+	if placed < 50 || failed < 50 {
+		t.Fatalf("battery too one-sided: %d placements, %d failures", placed, failed)
+	}
 }

@@ -7,12 +7,13 @@
 // Node selection is split into feasibility filtering (the paper's hard
 // memory/GPU constraints, implemented here) and scoring (which feasible
 // node to prefer), the placement-objective layer of internal/placement.
-// With no objective configured (Controller.Objective() == nil) placement
-// uses the inlined Section III-A rule — the least relatively CPU-loaded
-// feasible node, exactly the published GREEDY — which coincides with the
-// placement.LoadBalance objective; a configured objective (cost, bestfit,
-// worstfit, ...) replaces the scoring half while the feasibility filter
-// stays untouched.
+// GreedyPlace scores with the run's objective, defaulting to
+// placement.LoadBalance — the least relatively CPU-loaded feasible node,
+// exactly the published GREEDY. Two selections implement it: on the
+// paper's two-resource platform with no objective configured, each task's
+// least-loaded query is answered from the simulator's node index in
+// O(log n); everywhere else one placement.Pick scan runs under the
+// objective.
 package sched
 
 import (
@@ -58,139 +59,85 @@ func SpecOf(ctl *sim.Controller, jid int) core.JobSpec {
 }
 
 // GreedyPlace computes the GREEDY placement of Section III-A for job jid:
-// each task in turn goes to the node with the lowest relative CPU load
-// (load divided by the node's CPU capacity — on the paper's unit-capacity
-// platform exactly the raw load) among nodes with enough free capacity in
-// every rigid dimension (memory, and GPU etc. on multi-resource clusters;
-// tasks already placed in this call are taken into account). It returns
-// one node per task, or ok=false if some task cannot be placed. Cluster
-// state is not modified.
+// each task in turn goes to the feasible node — enough free capacity in
+// every rigid dimension (memory, and GPU etc. on multi-resource clusters),
+// net of the tasks already placed in this call — that scores best under
+// the run's placement objective, by default placement.LoadBalance: the
+// lowest relative CPU load (load divided by the node's CPU capacity; on
+// the paper's unit-capacity platform exactly the raw load). It returns one
+// node per task, or ok=false if some task cannot be placed. Cluster state
+// is not modified.
 func GreedyPlace(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
-	return GreedyPlaceExtra(ctl, jid, nil)
+	j := ctl.JobRef(jid)
+	obj := ctl.Objective()
+	if obj == nil {
+		if ctl.NumDims() == 2 {
+			// The paper's two-resource platform is the placement hot path
+			// (every greedy admission and every DYNMCB8-ASAP arrival):
+			// answer each task's LoadBalance query from the node index in
+			// O(log n) instead of scanning.
+			return greedyPlace2Indexed(ctl, j)
+		}
+		obj = placement.LoadBalance{}
+	}
+	return greedyPlaceScan(ctl, j, obj)
 }
 
-// GreedyPlaceExtra is GreedyPlace with additional hypothetical usage: the
-// plan's extra rigid demands and load (indexed by node, may be nil) are
-// added on top of the simulator's current state. This lets callers plan
-// multi-job placements (e.g. resuming several paused jobs in one event)
-// without mutating the cluster between decisions. When the run configures
-// a placement objective, the relative-load score is replaced by the
-// objective's score over the same feasibility filter.
-func GreedyPlaceExtra(ctl *sim.Controller, jid int, extra *Plan) ([]int, bool) {
-	ji := ctl.JobLite(jid)
+// greedyPlaceScan is the placement scan: per task, placement.Pick under
+// obj over the nodes with free capacity in every rigid dimension, net of
+// the tasks already placed in this call.
+func greedyPlaceScan(ctl *sim.Controller, j *workload.Job, obj placement.Objective) ([]int, bool) {
 	n := ctl.NumNodes()
-	d := ctl.NumDims()
-	if d == 2 && extra == nil && ctl.Objective() == nil {
-		// The paper's two-resource platform with no hypothetical usage is
-		// the placement hot path (every greedy admission and every
-		// DYNMCB8-ASAP arrival): answer each task's least-loaded-feasible
-		// query from the node index in O(log n) instead of scanning.
-		return greedyPlace2Indexed(ctl, ji)
-	}
-	plan := NewPlan(n, d)
-	if extra != nil {
-		copy(plan.Load, extra.Load)
-		for r := range plan.Rigid {
-			copy(plan.Rigid[r], extra.Rigid[r])
-		}
-	}
-	if obj := ctl.Objective(); obj != nil {
-		return greedyPlaceObjective(ctl, ji, plan, obj)
-	}
-	if d == 2 {
-		// The paper's two-resource platform is the placement hot path
-		// (every greedy admission and every DYNMCB8-ASAP arrival); keep it
-		// on the memory-only scan. The general path below computes exactly
-		// this for d == 2, and both are the inlined placement.LoadBalance
-		// objective (locked equivalent by TestGreedyDefaultObjectiveLock).
-		return greedyPlace2(ctl, ji, plan)
-	}
-	// Hoist the per-dimension demands out of the scan loops.
-	dems := make([]float64, d-1)
+	p := newPlan(ctl)
+	dems := make([]float64, len(p.rigid))
 	for r := range dems {
-		dems[r] = ji.Job.Demand(r + 1)
+		dems[r] = j.Demand(r + 1)
 	}
-	nodes := make([]int, 0, ji.Job.Tasks)
-	for task := 0; task < ji.Job.Tasks; task++ {
-		best := -1
-		bestLoad := math.Inf(1)
-		for node := 0; node < n; node++ {
-			fit := true
-			for r, dem := range dems {
-				if !floats.LessEq(dem, ctl.FreeRes(node, r+1)-plan.Rigid[r][node]) {
-					fit = false
-					break
-				}
-			}
-			if !fit {
-				continue
-			}
-			load := (ctl.CPULoad(node) + plan.Load[node]) / ctl.CPUCap(node)
-			if load < bestLoad {
-				bestLoad = load
-				best = node
+	feasible := func(node int) bool {
+		for r, dm := range dems {
+			if !floats.LessEq(dm, ctl.FreeRes(node, r+1)-p.rigid[r][node]) {
+				return false
 			}
 		}
+		return true
+	}
+	// A closure over the pointer, not the method value j.Demand, which
+	// would copy the whole job record to the heap on every call.
+	dem := func(k int) float64 { return j.Demand(k) }
+	nodes := make([]int, 0, j.Tasks)
+	for task := 0; task < j.Tasks; task++ {
+		best := placement.Pick(n, dem, p, feasible, obj)
 		if best < 0 {
 			return nil, false
 		}
 		nodes = append(nodes, best)
-		plan.Load[best] += ji.Job.CPUNeed
-		for r, dem := range dems {
-			plan.Rigid[r][best] += dem
+		p.load[best] += j.CPUNeed
+		for r, dm := range dems {
+			p.rigid[r][best] += dm
 		}
 	}
 	return nodes, true
 }
 
-// greedyPlace2 is the two-resource specialization of the placement scan.
-func greedyPlace2(ctl *sim.Controller, ji sim.JobInfo, plan *Plan) ([]int, bool) {
-	n := ctl.NumNodes()
-	memReq := ji.Job.MemReq
-	planMem := plan.Rigid[0]
-	nodes := make([]int, 0, ji.Job.Tasks)
-	for task := 0; task < ji.Job.Tasks; task++ {
-		best := -1
-		bestLoad := math.Inf(1)
-		for node := 0; node < n; node++ {
-			if !floats.LessEq(memReq, ctl.FreeMem(node)-planMem[node]) {
-				continue
-			}
-			load := (ctl.CPULoad(node) + plan.Load[node]) / ctl.CPUCap(node)
-			if load < bestLoad {
-				bestLoad = load
-				best = node
-			}
-		}
-		if best < 0 {
-			return nil, false
-		}
-		nodes = append(nodes, best)
-		planMem[best] += memReq
-		plan.Load[best] += ji.Job.CPUNeed
-	}
-	return nodes, true
-}
-
-// greedyPlace2Indexed answers the two-resource placement scan from the
+// greedyPlace2Indexed answers the two-resource LoadBalance scan from the
 // simulator's node index. Tasks already placed in this call are overlaid
-// onto the touched leaves with exactly the expressions of the linear scan
-// — free memory minus accumulated plan memory, (load plus accumulated plan
-// load) over capacity — and every touched leaf is restored to its live
-// values before returning, on success and on failure alike. Untouched
-// leaves already hold the scan's values (a zero plan term only flips the
-// sign of a zero, which no comparison observes), and ArgminLoad applies the
-// same strict-improvement, ascending-node-order selection as the scan, so
-// the chosen nodes are identical bit for bit.
-func greedyPlace2Indexed(ctl *sim.Controller, ji sim.JobInfo) ([]int, bool) {
+// onto the touched leaves with exactly the expressions of the scan — free
+// memory minus accumulated plan memory, (load plus accumulated plan load)
+// over capacity — and every touched leaf is restored to its live values
+// before returning, on success and on failure alike. Untouched leaves
+// already hold the scan's values (a zero plan term only flips the sign of
+// a zero, which no comparison observes), and ArgminLoad applies the same
+// strict-improvement, ascending-node-order selection as placement.Pick, so
+// the chosen nodes are identical bit for bit (TestIndexedPlacementMatchesScan).
+func greedyPlace2Indexed(ctl *sim.Controller, j *workload.Job) ([]int, bool) {
 	t := ctl.NodeIndex()
-	memReq := ji.Job.MemReq
-	cpuNeed := ji.Job.CPUNeed
-	nodes := make([]int, 0, ji.Job.Tasks)
+	memReq := j.MemReq
+	cpuNeed := j.CPUNeed
+	nodes := make([]int, 0, j.Tasks)
 	var touched []int
 	var planMem, planLoad []float64 // parallel to touched
 	ok := true
-	for task := 0; task < ji.Job.Tasks; task++ {
+	for task := 0; task < j.Tasks; task++ {
 		node := t.ArgminLoad(memReq)
 		if node < 0 {
 			ok = false
@@ -225,81 +172,58 @@ func greedyPlace2Indexed(ctl *sim.Controller, ji sim.JobInfo) ([]int, bool) {
 	return nodes, true
 }
 
-// planState adapts the simulator's live usage plus an in-event placement
-// plan to placement.State, so objectives score nodes as if the plan's
+// plan is a placement scan's view of the platform for placement.State:
+// the simulator's live usage plus, per node, the rigid demands and CPU
+// load of the tasks the scan has already assigned in the current call
+// (none when the rows are nil), so objectives score nodes as if those
 // placements had already happened.
-type planState struct {
-	ctl  *sim.Controller
-	plan *Plan
+type plan struct {
+	ctl   *sim.Controller
+	rigid [][]float64 // rigid[r][node]: demand in rigid dimension r+1
+	load  []float64   // load[node]: CPU load
+}
+
+// newPlan returns an empty plan over ctl's nodes and resource dimensions.
+func newPlan(ctl *sim.Controller) *plan {
+	n := ctl.NumNodes()
+	p := &plan{ctl: ctl, load: make([]float64, n), rigid: make([][]float64, ctl.NumDims()-1)}
+	for r := range p.rigid {
+		p.rigid[r] = make([]float64, n)
+	}
+	return p
 }
 
 // Dims implements placement.State.
-func (s planState) Dims() int { return s.ctl.NumDims() }
+func (p *plan) Dims() int { return p.ctl.NumDims() }
 
 // Cap implements placement.State.
-func (s planState) Cap(node, k int) float64 { return s.ctl.ResCap(node, k) }
+func (p *plan) Cap(node, k int) float64 { return p.ctl.ResCap(node, k) }
 
 // Free implements placement.State: free capacity net of the plan. For the
 // fluid CPU dimension this is capacity minus load (possibly negative under
 // time-sharing).
-func (s planState) Free(node, k int) float64 {
+func (p *plan) Free(node, k int) float64 {
 	if k == 0 {
-		return s.ctl.CPUCap(node) - s.CPULoad(node)
+		return p.ctl.CPUCap(node) - p.CPULoad(node)
 	}
-	free := s.ctl.FreeRes(node, k)
-	if s.plan != nil && k-1 < len(s.plan.Rigid) {
-		free -= s.plan.Rigid[k-1][node]
+	free := p.ctl.FreeRes(node, k)
+	if k-1 < len(p.rigid) {
+		free -= p.rigid[k-1][node]
 	}
 	return free
 }
 
 // CPULoad implements placement.State.
-func (s planState) CPULoad(node int) float64 {
-	load := s.ctl.CPULoad(node)
-	if s.plan != nil {
-		load += s.plan.Load[node]
+func (p *plan) CPULoad(node int) float64 {
+	load := p.ctl.CPULoad(node)
+	if p.load != nil {
+		load += p.load[node]
 	}
 	return load
 }
 
 // Cost implements placement.State.
-func (s planState) Cost(node int) float64 { return s.ctl.NodeCost(node) }
-
-// greedyPlaceObjective is the objective-scored placement scan: the same
-// per-task feasibility filter as the default paths (free capacity in every
-// rigid dimension, plan-aware), with the node choice delegated to
-// placement.Pick under the configured objective.
-func greedyPlaceObjective(ctl *sim.Controller, ji sim.JobInfo, plan *Plan, obj placement.Objective) ([]int, bool) {
-	n := ctl.NumNodes()
-	d := ctl.NumDims()
-	dems := make([]float64, d-1)
-	for r := range dems {
-		dems[r] = ji.Job.Demand(r + 1)
-	}
-	st := planState{ctl: ctl, plan: plan}
-	dem := placement.Demand(ji.Job.Demand)
-	feasible := func(node int) bool {
-		for r, dm := range dems {
-			if !floats.LessEq(dm, ctl.FreeRes(node, r+1)-plan.Rigid[r][node]) {
-				return false
-			}
-		}
-		return true
-	}
-	nodes := make([]int, 0, ji.Job.Tasks)
-	for task := 0; task < ji.Job.Tasks; task++ {
-		best := placement.Pick(n, dem, st, feasible, obj)
-		if best < 0 {
-			return nil, false
-		}
-		nodes = append(nodes, best)
-		plan.Load[best] += ji.Job.CPUNeed
-		for r, dm := range dems {
-			plan.Rigid[r][best] += dm
-		}
-	}
-	return nodes, true
-}
+func (p *plan) Cost(node int) float64 { return p.ctl.NodeCost(node) }
 
 // ImproveRank returns the per-job secondary sort keys the average-yield
 // improvement heuristic uses for tie-breaking under the run's objective:
@@ -317,7 +241,7 @@ func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocati
 	if !ok || !jr.RanksJobs() {
 		return nil
 	}
-	st := planState{ctl: ctl}
+	st := &plan{ctl: ctl}
 	rank := make([]float64, len(specs))
 	for i, spec := range specs {
 		for _, node := range alloc.NodesOf[spec.ID] {
@@ -325,51 +249,6 @@ func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocati
 		}
 	}
 	return rank
-}
-
-// Plan accumulates hypothetical extra rigid demands and CPU load per node
-// across a sequence of placement decisions within one scheduling event.
-type Plan struct {
-	// Rigid[r][node] is the planned extra demand in rigid dimension r+1
-	// (Rigid[0] is memory).
-	Rigid [][]float64
-	// Load[node] is the planned extra CPU load.
-	Load []float64
-}
-
-// NewPlan returns an empty plan for n nodes and d resource dimensions.
-func NewPlan(n, d int) *Plan {
-	if d < 2 {
-		d = 2
-	}
-	p := &Plan{Load: make([]float64, n), Rigid: make([][]float64, d-1)}
-	for r := range p.Rigid {
-		p.Rigid[r] = make([]float64, n)
-	}
-	return p
-}
-
-// Mem returns the plan's memory row (rigid dimension 1).
-func (p *Plan) Mem() []float64 { return p.Rigid[0] }
-
-// Commit adds a placement with the given memory and CPU shape to the plan
-// (the d=2 case; use CommitJob for jobs with further demands).
-func (p *Plan) Commit(nodes []int, memReq, cpuNeed float64) {
-	for _, node := range nodes {
-		p.Rigid[0][node] += memReq
-		p.Load[node] += cpuNeed
-	}
-}
-
-// CommitJob adds a placement of one of the job's tasks per listed node to
-// the plan, covering every rigid dimension the plan tracks.
-func (p *Plan) CommitJob(nodes []int, j workload.Job) {
-	for _, node := range nodes {
-		p.Load[node] += j.CPUNeed
-		for r := range p.Rigid {
-			p.Rigid[r][node] += j.Demand(r + 1)
-		}
-	}
 }
 
 // ByPriority returns jids sorted by the priority function evaluated at now:

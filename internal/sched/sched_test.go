@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -94,23 +95,34 @@ func TestGreedyPlaceRespectsMemory(t *testing.T) {
 }
 
 func TestGreedyPlaceMultiTaskSpreads(t *testing.T) {
-	// A 3-task job with 60% memory per task: one task per node.
-	tr := &workload.Trace{Name: "g", Nodes: 3, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 3, 0.5, 0.6, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		nodes, ok := GreedyPlace(ctl, 0)
-		if !ok {
-			t.Fatal("placement failed")
-		}
-		seen := map[int]bool{}
-		for _, n := range nodes {
-			if seen[n] {
-				t.Errorf("two 0.6-memory tasks on node %d", n)
+	// A 3-task job with 60% memory per task: one task per node. On the
+	// GPU platform a second job holds 0.1 memory but 60% GPU per task, so
+	// GPU accumulation alone must spread it too.
+	for _, c := range scanCases(cluster.Uniform(3)) {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &workload.Trace{Name: "g", Nodes: 3, NodeMemGB: 8, Jobs: []workload.Job{
+				jb(0, 0, 3, 0.5, 0.6, 100),
+			}}
+			if c.cl.D() > 2 {
+				tr.Jobs = append(tr.Jobs, workload.Job{ID: 1, Tasks: 3, CPUNeed: 0.5, MemReq: 0.1, ExecTime: 100, Extra: []float64{0.6}})
 			}
-			seen[n] = true
-		}
-	})
+			buildSimCluster(t, tr, c.cl, func(ctl *sim.Controller) {
+				for jid := range tr.Jobs {
+					nodes, ok := GreedyPlace(ctl, jid)
+					if !ok {
+						t.Fatalf("job %d: placement failed", jid)
+					}
+					seen := map[int]bool{}
+					for _, n := range nodes {
+						if seen[n] {
+							t.Errorf("job %d: two tasks on node %d: %v", jid, n, nodes)
+						}
+						seen[n] = true
+					}
+				}
+			})
+		})
+	}
 }
 
 func TestGreedyPlaceStacksWhenMemoryAllows(t *testing.T) {
@@ -121,21 +133,25 @@ func TestGreedyPlaceStacksWhenMemoryAllows(t *testing.T) {
 		jb(0, 0, 3, 0.9, 0.1, 100),
 		jb(1, 0, 4, 0.4, 0.1, 100),
 	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		ctl.Start(0, []int{1, 2, 3})
-		ctl.SetYield(0, 1)
-		nodes, ok := GreedyPlace(ctl, 1)
-		if !ok {
-			t.Fatal("placement failed")
-		}
-		count := map[int]int{}
-		for _, n := range nodes {
-			count[n]++
-		}
-		if count[0] != 3 {
-			t.Errorf("expected 3 tasks stacked on the idle node, got %v", count)
-		}
-	})
+	for _, c := range scanCases(cluster.Uniform(4)) {
+		t.Run(c.name, func(t *testing.T) {
+			buildSimCluster(t, tr, c.cl, func(ctl *sim.Controller) {
+				ctl.Start(0, []int{1, 2, 3})
+				ctl.SetYield(0, 1)
+				nodes, ok := GreedyPlace(ctl, 1)
+				if !ok {
+					t.Fatal("placement failed")
+				}
+				count := map[int]int{}
+				for _, n := range nodes {
+					count[n]++
+				}
+				if count[0] != 3 {
+					t.Errorf("expected 3 tasks stacked on the idle node, got %v", count)
+				}
+			})
+		})
+	}
 }
 
 func TestByPriority(t *testing.T) {
@@ -181,31 +197,6 @@ func TestApplyGreedyYields(t *testing.T) {
 			t.Errorf("job 2 yield = %v, want 1.0 (average-yield heuristic)", y)
 		}
 	})
-}
-
-func TestPlanCommit(t *testing.T) {
-	p := NewPlan(3, 2)
-	p.Commit([]int{0, 0, 2}, 0.3, 0.5)
-	if math.Abs(p.Mem()[0]-0.6) > 1e-12 || math.Abs(p.Load[0]-1.0) > 1e-12 {
-		t.Errorf("node 0 plan: mem %v load %v", p.Mem()[0], p.Load[0])
-	}
-	if p.Mem()[1] != 0 || p.Load[1] != 0 {
-		t.Error("untouched node changed")
-	}
-	if math.Abs(p.Mem()[2]-0.3) > 1e-12 {
-		t.Errorf("node 2 mem %v", p.Mem()[2])
-	}
-}
-
-func TestPlanCommitJobRigidDims(t *testing.T) {
-	p := NewPlan(2, 3)
-	p.CommitJob([]int{1}, workload.Job{CPUNeed: 0.4, MemReq: 0.2, Extra: []float64{0.7}})
-	if math.Abs(p.Rigid[0][1]-0.2) > 1e-12 || math.Abs(p.Rigid[1][1]-0.7) > 1e-12 {
-		t.Errorf("rigid plan = %v", p.Rigid)
-	}
-	if math.Abs(p.Load[1]-0.4) > 1e-12 {
-		t.Errorf("load plan = %v", p.Load)
-	}
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {

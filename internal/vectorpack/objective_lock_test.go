@@ -1,13 +1,15 @@
 package vectorpack
 
-// Frozen-copy locks for the placement-objective refactor: the PR 4
-// first-fit-decreasing and best-fit-decreasing packing loops, kept here
-// verbatim, must match the refactored packers (which route node choice
-// through placement.Pick under their default objectives) bit-for-bit over
-// random instances in 2-4 dimensions on equal and unequal bins — the
-// ddim_test.go pattern applied to this PR's refactor. MCB8's default bin
-// order is locked by asserting the nil-objective path is bypassed
-// (binOrder identity) plus the cross-checks below.
+// Reference-implementation locks for the packers' node choice: the PR 4
+// first-fit-decreasing and best-fit-decreasing loops, kept here verbatim,
+// must match both paths of each packer bit-for-bit over random instances
+// in 2-4 dimensions on equal and unequal bins — the inlined loop that runs
+// with no objective (kept because routing it through placement.Pick
+// costs several times its run time) and the placement.Pick route under the
+// explicit default objective (First takes Pick's first-feasible shortcut,
+// BestFit scores every bin). MCB8's default bin order is locked by
+// asserting the nil-objective order is the identity plus the First
+// cross-check below.
 
 import (
 	"math"

@@ -1,15 +1,18 @@
 package dfrs_test
 
-// Default-objective lock: the paper's hard-coded node-selection rules and
-// the placement-objective layer must coincide. For every scheduler family,
-// running with no objective (the inlined pre-refactor selection paths)
-// and running with that family's default rule spelled as an explicit
-// objective ("loadbalance" for the greedy/DYNMCB8 families, "first" for
-// batch and gang) must produce identical simulations — same node choices,
-// same event sequences, same metrics — over 200+ random instances spanning
-// homogeneous, heterogeneous and GPU platforms. This is the frozen-copy
-// comparison of pre/post-refactor node choices at the whole-simulation
-// level: the nil paths are the pre-refactor code, kept verbatim.
+// Default-objective lock: running with no objective and running with each
+// family's default rule spelled as an explicit objective ("loadbalance" for
+// the greedy/DYNMCB8 families, "first" for batch and gang) must produce
+// identical simulations — same node choices, same event sequences, same
+// metrics — over 200+ random instances spanning homogeneous,
+// heterogeneous and GPU platforms. At whole-simulation level this locks
+// two things: on two-resource platforms, greedy placement's node-index
+// path (taken only when no objective is configured) against the
+// placement.Pick scan under LoadBalance; and, in every family, the
+// resolution of "no objective" to the family default. Batch and gang run
+// one selection path either way, so their node choices themselves are
+// pinned by the placement-families golden grid (golden_test.go) and by
+// internal/sched/batch's reference takeFor.
 
 import (
 	"context"
