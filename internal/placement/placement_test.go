@@ -129,6 +129,22 @@ func TestRankOrdersByScoreThenID(t *testing.T) {
 	}
 }
 
+// TestRankFirstReturnsSortedInput: under First, id-ordered candidates come
+// back as the same slice (callers such as the batch pool pass a reused
+// buffer), and out-of-order input is ranked into a new slice untouched.
+func TestRankFirstReturnsSortedInput(t *testing.T) {
+	st := unitState(5)
+	sorted := []int{0, 2, 3}
+	if got := Rank(sorted, ZeroDemand, st, First{}); &got[0] != &sorted[0] || !reflect.DeepEqual(got, []int{0, 2, 3}) {
+		t.Fatalf("Rank under First did not return its id-ordered input as is: %v", got)
+	}
+	unsorted := []int{3, 0, 2}
+	got := Rank(unsorted, ZeroDemand, st, First{})
+	if !reflect.DeepEqual(got, []int{0, 2, 3}) || !reflect.DeepEqual(unsorted, []int{3, 0, 2}) {
+		t.Fatalf("Rank under First = %v with input left as %v, want [0 2 3] and [3 0 2]", got, unsorted)
+	}
+}
+
 // TestRankAgreesWithSort cross-checks Rank against a direct sort over
 // random scores.
 func TestRankAgreesWithSort(t *testing.T) {
