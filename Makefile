@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is what the repository considers green.
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare fuzz ci
+.PHONY: all build vet fmt test race bench bench-module bench-json bench-compare fuzz ci
 
 all: build
 
@@ -38,4 +38,16 @@ bench-compare:
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/swf/
 
-ci: build test race
+# The blocking steps of .github/workflows/ci.yml, in the same order.
+ci: build vet fmt test race bench-module
+
+vet:
+	$(GO) vet ./...
+
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# The benchmark is its own module (bench/go.mod), invisible to the root
+# `go test ./...`.
+bench-module:
+	cd bench && $(GO) test ./...

@@ -295,7 +295,7 @@ func BenchmarkCostObjectiveSimulation(b *testing.B) {
 // BenchmarkSingleSimulation measures the simulator's raw event-processing
 // throughput for each algorithm family on one mid-load trace.
 func BenchmarkSingleSimulation(b *testing.B) {
-	tr, err := lublin.GenerateTrace(rng.New(2), lublin.DefaultParams(128), 150, "bench")
+	tr, err := dfrs.SyntheticTrace(dfrs.SyntheticOptions{Seed: 2, Nodes: 128, Jobs: 150, Name: "bench"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func BenchmarkSingleSimulation(b *testing.B) {
 	for _, alg := range []string{"fcfs", "easy", "greedy", "greedy-pmtn", "dynmcb8", "dynmcb8-asap-per"} {
 		b.Run(alg, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunOne(context.Background(), scaled, alg, experiments.PaperPenalty, false)
+				res, err := dfrs.Run(context.Background(), scaled, alg, dfrs.WithPenalty(experiments.PaperPenalty))
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Events), "events")
+				b.ReportMetric(float64(res.Events()), "events")
 			}
 		})
 	}

@@ -82,9 +82,10 @@ type CampaignOptions struct {
 	// identical for any worker count.
 	Observer func(CampaignCell) Observer
 	// FedWorkers sets FederationSpec.Workers for federated cells (those
-	// with a Topologies axis): values above 1 advance each cell's member
-	// clusters concurrently between dispatch points. The default 0 (like
-	// 1) advances them inline on the cell's own worker, since the campaign
+	// with a Topologies axis; the others run as one-member federations,
+	// always inline): values above 1 advance each cell's member clusters
+	// concurrently between dispatch points. The default 0 (like 1)
+	// advances them inline on the cell's own worker, since the campaign
 	// worker pool already saturates the cores. Records and checkpoint
 	// JSONL are byte-identical across every value — an execution knob,
 	// never a grid axis.

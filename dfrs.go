@@ -117,10 +117,12 @@
 // executes on a bounded worker pool with deterministic per-cell RNG
 // substreams (the key-sorted record set is byte-identical for any worker
 // count), and streams each finished cell as a JSONL record that doubles as
-// a checkpoint for resumable runs. CampaignRun.Records delivers records
-// live as cells finish; cancelling the campaign context stops within one
-// cell per worker and leaves the checkpoint valid, so a resumed campaign
-// completes exactly the missing cells. The dfrs-campaign command exposes
+// a checkpoint for resumable runs. Every cell runs on the federation
+// orchestrator behind RunFederated: a single-cluster cell is a one-member
+// federation, whose results equal a plain Run's. CampaignRun.Records
+// delivers records live as cells finish; cancelling the campaign context
+// stops within one cell per worker and leaves the checkpoint valid, so a
+// resumed campaign completes exactly the missing cells. The dfrs-campaign command exposes
 // this API directly, dfrs-exp renders the paper's tables and figures from
 // the same engine, and examples/campaign and examples/streaming are
 // runnable end-to-end walkthroughs.

@@ -3,6 +3,7 @@ package dfrs_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -107,6 +108,33 @@ func TestFederatedCostAwareBursting(t *testing.T) {
 	}
 	if res.Cost() != onprem.Cost+remote.Cost {
 		t.Errorf("aggregate cost %g != %g + %g", res.Cost(), onprem.Cost, remote.Cost)
+	}
+}
+
+// A job no member can run fails the federated run with the lowest-index
+// member's typed admission error: a 4-task GPU job on 4-node gpu-bimodal
+// members, whose one double-GPU node hosts only three of its tasks.
+func TestFederatedInfeasibleJobTypedError(t *testing.T) {
+	tr, err := dfrs.FromJobs("gpu-burst", 4, 8, []dfrs.Job{
+		{ID: 0, Submit: 0, Tasks: 1, CPUNeed: 0.5, MemReq: 0.2, ExecTime: 60},
+		{ID: 1, Submit: 10, Tasks: 4, CPUNeed: 0.5, MemReq: 0.2, ExecTime: 60, Extra: []float64{0.6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = dfrs.RunFederated(context.Background(), tr, dfrs.FederationSpec{
+		Clusters: []dfrs.ClusterSpec{
+			{NodeMix: "gpu-bimodal", Nodes: 4},
+			{NodeMix: "gpu-bimodal", Nodes: 4},
+		},
+		Algorithm: "greedy",
+	})
+	var ice *dfrs.InsufficientCapacityError
+	if !errors.As(err, &ice) {
+		t.Fatalf("err = %v, want InsufficientCapacityError", err)
+	}
+	if ice.JobID != 1 || ice.Slots >= ice.Tasks {
+		t.Errorf("error reports job %d with %d slots for %d tasks", ice.JobID, ice.Slots, ice.Tasks)
 	}
 }
 

@@ -181,8 +181,8 @@ type Cell struct {
 	Objective string `json:"objective,omitempty"`
 	// Topology, when non-empty, runs the cell as a federation of the
 	// clusters it describes (federation.ParseTopology notation), with
-	// Dispatch naming the routing policy. Empty means the single-cluster
-	// simulation.
+	// Dispatch naming the routing policy. Empty means one cluster of the
+	// cell's node mix (run as a one-member federation).
 	Topology string `json:"topology,omitempty"`
 	// Dispatch is the federation dispatch policy; empty outside
 	// federated cells.

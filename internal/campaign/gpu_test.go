@@ -96,7 +96,7 @@ func TestGPUAcceptanceRun(t *testing.T) {
 		Nodes:      []int{16},
 		// "" exercises the two-dim mix extended with a unit GPU dimension;
 		// gpu-uniform keeps every node GPU-equipped so every decorated job
-		// stays feasible (gpu-bimodal's eager reject path is covered by
+		// stays feasible (gpu-bimodal's reject path is covered by
 		// TestGPUBimodalInfeasibleCellRejected).
 		NodeMixes:    []string{"", "gpu-uniform"},
 		GPUFrac:      0.4,
@@ -123,8 +123,9 @@ func TestGPUAcceptanceRun(t *testing.T) {
 // TestGPUBimodalInfeasibleCellRejected: this seed's workload contains a
 // 16-task job demanding memory and GPU together; on gpu-bimodal only four
 // of the 16 nodes carry GPUs, so the job can never place all tasks
-// simultaneously and the cell must fail eagerly with the simulator's
-// typed capacity error instead of deadlocking mid-run.
+// simultaneously. The cell must fail when that job is dispatched, with the
+// simulator's typed capacity error wrapped in the dispatch error, instead
+// of deadlocking mid-run.
 func TestGPUBimodalInfeasibleCellRejected(t *testing.T) {
 	g := gpuGrid()
 	g.Algorithms = []string{"greedy-pmtn"}

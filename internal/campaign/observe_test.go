@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/placement"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -78,6 +81,92 @@ func TestObserverSequencesIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		if !reflect.DeepEqual(evs, pevs) {
 			t.Errorf("cell %s: event sequences differ between 1 and 4 workers", key)
+		}
+	}
+}
+
+// TestObserverMatchesPlainRun: every campaign cell runs on the federation
+// orchestrator, a cell without a topology as a one-member federation. Its
+// observed event sequence must equal a plain single-simulator run of the
+// same materialised trace, cluster, scheduler and objective — across
+// batch, backfilling, greedy and periodic MCB families, on a
+// two-dimensional mix extended for GPU demands and on a GPU profile.
+func TestObserverMatchesPlainRun(t *testing.T) {
+	g := observeGrid()
+	g.Algorithms = []string{"easy", "conservative", "greedy-pmtn", "dynmcb8-asap-per"}
+	g.NodeMixes = []string{"uniform", "gpu-uniform"}
+	g.GPUFrac = 0.3
+	var mu sync.Mutex
+	observed := map[string]*sim.Recorder{}
+	r := &Runner{
+		Workers: 2,
+		Observe: func(c Cell) sim.Observer {
+			rec := &sim.Recorder{}
+			mu.Lock()
+			observed[c.Key()] = rec
+			mu.Unlock()
+			return rec
+		},
+	}
+	if _, err := r.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	stripped := func(rec *sim.Recorder) []sim.Event {
+		evs := rec.Events()
+		for i := range evs {
+			evs[i].Elapsed = 0
+		}
+		return evs
+	}
+	mat := newMaterialiser()
+	cells := g.Cells()
+	if len(observed) != len(cells) {
+		t.Fatalf("observed %d cells, want %d", len(observed), len(cells))
+	}
+	for _, c := range cells {
+		tr, err := mat.trace(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.New(c.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.Profile(c.NodeMix, tr.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := placement.ByName(c.Objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := &sim.Recorder{}
+		simulator, err := sim.New(sim.Config{
+			Trace:      tr,
+			Cluster:    cl.ExtendUnit(tr.Dims()),
+			Penalty:    c.Penalty,
+			MaxSimTime: maxSimTime,
+			Observer:   plain,
+			Objective:  obj,
+		}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := simulator.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want, got := stripped(plain), stripped(observed[c.Key()])
+		if len(want) == 0 {
+			t.Fatalf("cell %s: plain run recorded no events", c.Key())
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := 0; i < min(len(got), len(want)); i++ {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("cell %s: event %d is %v, plain run has %v", c.Key(), i, got[i], want[i])
+					break
+				}
+			}
+			t.Errorf("cell %s: %d observed events, plain run has %d", c.Key(), len(got), len(want))
 		}
 	}
 }

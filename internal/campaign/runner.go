@@ -8,14 +8,10 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/federation"
 	"repro/internal/hpc2n"
 	"repro/internal/lublin"
-	"repro/internal/metrics"
-	"repro/internal/placement"
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -45,12 +41,14 @@ type Runner struct {
 	// event sequences are a deterministic function of the cell alone, so
 	// they are identical for any worker count.
 	Observe func(Cell) sim.Observer
-	// FedWorkers sets federation.Spec.Workers for federated cells:
-	// values above 1 advance a cell's member clusters concurrently on
-	// that many goroutines between dispatch points. The default 0 (like
-	// 1) advances them inline on the cell's own worker — the cell pool
-	// above already owns the cores — and is the right choice except for
-	// few-cell campaigns of wide topologies. Records are byte-identical
+	// FedWorkers sets federation.Spec.Workers for every cell. Cells
+	// without a topology are one-member federations, which always
+	// advance inline; for federated cells, values above 1 advance the
+	// member clusters concurrently on that many goroutines between
+	// dispatch points. The default 0 (like 1) advances them inline on
+	// the cell's own worker — the cell pool above already owns the
+	// cores — and is the right choice except for few-cell campaigns of
+	// wide topologies. Records are byte-identical
 	// across every value: FedWorkers is an execution knob, not a grid
 	// axis, so it never appears in keys or JSONL (pinned by test).
 	FedWorkers int
@@ -169,120 +167,29 @@ func (r *Runner) RunContext(ctx context.Context, g *Grid) ([]Record, error) {
 	return records, nil
 }
 
-// runCell materialises the cell's trace and simulates it, producing the
-// checkpoint record. Federated cells (non-empty Topology) run through the
-// shared-clock orchestrator instead of a single simulator.
+// runCell materialises the cell's trace and runs it on the shared-clock
+// federation orchestrator, producing the checkpoint record. A cell without
+// a Topology is a one-member federation over the cell's node mix laid out
+// on the trace's node count (families like hpc2n fix their own cluster
+// size) — byte-identical to a plain single-cluster run. Otherwise the
+// topology is parsed over that count and mix, and per-member routing
+// counts ride along in Dispatched. Every quantity is a deterministic
+// function of the cell, so every campaign checkpoints and resumes alike.
 func runCell(ctx context.Context, r *Runner, mat *materialiser, g *Grid, c Cell) (Record, error) {
 	tr, err := mat.trace(c)
 	if err != nil {
 		return Record{}, err
 	}
+	members := []federation.MemberSpec{{Mix: c.NodeMix, Nodes: tr.Nodes}}
 	if c.Topology != "" {
-		return runFederatedCell(ctx, r, g, c, tr)
-	}
-	s, err := sched.New(c.Algorithm)
-	if err != nil {
-		return Record{}, err
-	}
-	// The node-mix profile is laid out over the materialised trace's node
-	// count (families like hpc2n fix their own cluster size).
-	cl, err := cluster.Profile(c.NodeMix, tr.Nodes)
-	if err != nil {
-		return Record{}, err
-	}
-	// A GPU-demanding trace on a two-dimensional mix gets a unit GPU
-	// capacity per node, so the demand axis is satisfiable everywhere;
-	// GPU profiles keep their own layout.
-	cl = cl.ExtendUnit(tr.Dims())
-	// Each cell resolves a fresh objective instance (objectives may carry
-	// state, like schedulers).
-	obj, err := placement.ByName(c.Objective)
-	if err != nil {
-		return Record{}, err
-	}
-	var obs sim.Observer
-	if r.Observe != nil {
-		obs = r.Observe(c)
-	}
-	simulator, err := sim.New(sim.Config{
-		Trace:            tr,
-		Cluster:          cl,
-		Penalty:          c.Penalty,
-		CheckInvariants:  g.Check,
-		RecordSchedTimes: g.Timing,
-		MaxSimTime:       maxSimTime,
-		Observer:         obs,
-		Objective:        obj,
-	}, s)
-	if err != nil {
-		return Record{}, err
-	}
-	res, err := simulator.RunContext(ctx)
-	if err != nil {
-		return Record{}, err
-	}
-	if err := metrics.Validate(res); err != nil {
-		return Record{}, err
-	}
-	sum := metrics.Summarize(res)
-	if sum.Jobs == 0 {
-		return Record{}, fmt.Errorf("no finished jobs")
-	}
-	if r.OnJob != nil {
-		for _, jr := range res.Jobs {
-			r.OnJob(c, jr)
+		if members, err = federation.ParseTopology(c.Topology, tr.Nodes, c.NodeMix); err != nil {
+			return Record{}, err
 		}
 	}
-	costs := metrics.Costs(res)
-	rec := Record{
-		Key:       c.Key(),
-		Seed:      c.Seed,
-		Family:    c.Family,
-		Trace:     tr.Name,
-		TraceIdx:  c.TraceIdx,
-		Load:      c.Load,
-		Nodes:     c.Nodes,
-		Jobs:      c.Jobs,
-		NodeMix:   c.NodeMix,
-		GPUFrac:   c.GPUFrac,
-		GPUCorr:   c.GPUCorr,
-		Objective: c.Objective,
-		Penalty:   c.Penalty,
-		Algorithm: c.Algorithm,
-
-		MaxStretch:  sum.MaxStretch,
-		AvgStretch:  sum.AvgStretch,
-		Makespan:    res.Makespan,
-		Utilization: res.Utilization(),
-		Finished:    len(res.Jobs),
-		Events:      res.Events,
-		Cost:        res.NodeCostSeconds,
-
-		PmtnGBps:    costs.PmtnGBps,
-		MigGBps:     costs.MigGBps,
-		PmtnPerHour: costs.PmtnPerHour,
-		MigPerHour:  costs.MigPerHour,
-		PmtnPerJob:  costs.PmtnPerJob,
-		MigPerJob:   costs.MigPerJob,
-	}
-	if g.Timing {
-		rec.Timing = aggregateTiming(res.SchedSamples)
-	}
-	return rec, nil
-}
-
-// runFederatedCell runs one federated cell: the topology is parsed over
-// the cell's node count and mix, the trace feeds the shared-clock
-// orchestrator as the global arrival stream, and the record is built from
-// the merged federation result (per-member routing counts ride along in
-// Dispatched). Every quantity is a deterministic function of the cell, so
-// federated campaigns checkpoint and resume exactly like single-cluster
-// ones.
-func runFederatedCell(ctx context.Context, r *Runner, g *Grid, c Cell, tr *workload.Trace) (Record, error) {
-	members, err := federation.ParseTopology(c.Topology, tr.Nodes, c.NodeMix)
-	if err != nil {
-		return Record{}, err
-	}
+	// Members are extended with unit capacity to the trace's dimensions,
+	// so a GPU-demanding trace on a two-dimensional mix is satisfiable
+	// everywhere; GPU profiles keep their own layout. Each member resolves
+	// a fresh scheduler and objective instance (both may carry state).
 	fspec := federation.Spec{
 		TraceName:        tr.Name,
 		NodeMemGB:        tr.NodeMemGB,
@@ -309,18 +216,14 @@ func runFederatedCell(ctx context.Context, r *Runner, g *Grid, c Cell, tr *workl
 	if err != nil {
 		return Record{}, err
 	}
-	sum := res.Summary
+	sum, mg := res.Summary, res.Merged
 	if sum.Jobs == 0 {
 		return Record{}, fmt.Errorf("no finished jobs")
 	}
 	if r.OnJob != nil {
-		for _, jr := range res.Merged.Jobs {
+		for _, jr := range mg.Jobs {
 			r.OnJob(c, jr)
 		}
-	}
-	dispatched := make([]int, len(res.Clusters))
-	for i := range res.Clusters {
-		dispatched[i] = res.Clusters[i].Dispatched
 	}
 	rec := Record{
 		Key:       c.Key(),
@@ -342,12 +245,11 @@ func runFederatedCell(ctx context.Context, r *Runner, g *Grid, c Cell, tr *workl
 
 		MaxStretch:  sum.MaxStretch,
 		AvgStretch:  sum.AvgStretch,
-		Makespan:    res.Merged.Makespan,
-		Utilization: res.Merged.Utilization(),
-		Finished:    len(res.Merged.Jobs),
-		Events:      res.Merged.Events,
-		Cost:        res.Merged.NodeCostSeconds,
-		Dispatched:  dispatched,
+		Makespan:    mg.Makespan,
+		Utilization: mg.Utilization(),
+		Finished:    len(mg.Jobs),
+		Events:      mg.Events,
+		Cost:        mg.NodeCostSeconds,
 
 		PmtnGBps:    res.Costs.PmtnGBps,
 		MigGBps:     res.Costs.MigGBps,
@@ -356,8 +258,14 @@ func runFederatedCell(ctx context.Context, r *Runner, g *Grid, c Cell, tr *workl
 		PmtnPerJob:  res.Costs.PmtnPerJob,
 		MigPerJob:   res.Costs.MigPerJob,
 	}
+	if c.Topology != "" {
+		rec.Dispatched = make([]int, len(res.Clusters))
+		for i := range res.Clusters {
+			rec.Dispatched[i] = res.Clusters[i].Dispatched
+		}
+	}
 	if g.Timing {
-		rec.Timing = aggregateTiming(res.Merged.SchedSamples)
+		rec.Timing = aggregateTiming(mg.SchedSamples)
 	}
 	return rec, nil
 }

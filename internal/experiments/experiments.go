@@ -18,8 +18,6 @@ import (
 	"repro/internal/lublin"
 	"repro/internal/metrics"
 	"repro/internal/rng"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -143,32 +141,6 @@ func (c Config) ScaledTraces(base []*workload.Trace) (map[float64][]*workload.Tr
 	return out, nil
 }
 
-// RunOne simulates one named algorithm over one trace; the context cancels
-// at event granularity.
-func RunOne(ctx context.Context, tr *workload.Trace, alg string, penalty float64, check bool) (*sim.Result, error) {
-	s, err := sched.New(alg)
-	if err != nil {
-		return nil, err
-	}
-	simulator, err := sim.New(sim.Config{
-		Trace:           tr,
-		Penalty:         penalty,
-		CheckInvariants: check,
-		MaxSimTime:      50 * 365 * 24 * 3600, // livelock guard
-	}, s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := simulator.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := metrics.Validate(res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // Instance is the outcome of running a set of algorithms on one trace: the
 // per-algorithm maximum bounded stretch, the derived degradation factors,
 // and the Table II cost summaries.
@@ -178,36 +150,6 @@ type Instance struct {
 	MaxStretch  map[string]float64
 	Degradation map[string]float64
 	Costs       map[string]metrics.CostSummary
-}
-
-// RunInstance executes every algorithm on the trace and computes
-// per-instance degradation factors.
-func RunInstance(ctx context.Context, tr *workload.Trace, algs []string, penalty float64, check bool, load float64) (*Instance, error) {
-	inst := &Instance{
-		Trace:       tr.Name,
-		Load:        load,
-		MaxStretch:  map[string]float64{},
-		Degradation: map[string]float64{},
-		Costs:       map[string]metrics.CostSummary{},
-	}
-	for _, alg := range algs {
-		res, err := RunOne(ctx, tr, alg, penalty, check)
-		if err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", alg, tr.Name, err)
-		}
-		sum := metrics.Summarize(res)
-		if sum.Jobs == 0 {
-			return nil, fmt.Errorf("%s on %s produced no finished jobs", alg, tr.Name)
-		}
-		inst.MaxStretch[alg] = sum.MaxStretch
-		inst.Costs[alg] = metrics.Costs(res)
-	}
-	deg, err := metrics.DegradationFactors(inst.MaxStretch)
-	if err != nil {
-		return nil, err
-	}
-	inst.Degradation = deg
-	return inst, nil
 }
 
 // instancesFromRecords groups flat campaign records by instance (same

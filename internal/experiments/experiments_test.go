@@ -65,38 +65,6 @@ func TestScaledTracesHitTargets(t *testing.T) {
 	}
 }
 
-func TestRunInstance(t *testing.T) {
-	cfg := tinyConfig()
-	base, err := cfg.BaseTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := base[0].ScaleToLoad(0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	algs := []string{"easy", "greedy-pmtn", "dynmcb8-asap-per"}
-	inst, err := RunInstance(context.Background(), scaled, algs, PaperPenalty, true, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := math.Inf(1)
-	for _, alg := range algs {
-		if inst.MaxStretch[alg] <= 0 {
-			t.Errorf("%s max stretch = %v", alg, inst.MaxStretch[alg])
-		}
-		if inst.Degradation[alg] < 1-1e-12 {
-			t.Errorf("%s degradation = %v < 1", alg, inst.Degradation[alg])
-		}
-		if inst.Degradation[alg] < best {
-			best = inst.Degradation[alg]
-		}
-	}
-	if math.Abs(best-1) > 1e-12 {
-		t.Errorf("no algorithm scored 1.0: %v", inst.Degradation)
-	}
-}
-
 func TestFigure1EndToEnd(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Algorithms = []string{"easy", "greedy-pmtn", "dynmcb8-per"}

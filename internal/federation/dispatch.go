@@ -26,8 +26,9 @@ type ClusterView struct {
 	// Priced reports whether any node of the member carries a nonzero
 	// cost rate.
 	Priced bool
-	// JobsInSystem is the member's current number of admitted,
-	// uncompleted jobs — the queue-depth signal.
+	// JobsInSystem is the member's number of unfinished jobs submitted at
+	// or before the arriving job, including those routed to it earlier at
+	// the same instant — the queue-depth signal.
 	JobsInSystem int
 	// CanRun reports whether the member could ever admit the arriving
 	// job (cluster-size, per-dimension and aggregate-capacity checks).

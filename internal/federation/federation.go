@@ -37,10 +37,11 @@
 // coincident events inside one simulator), then the Dispatcher samples
 // every ClusterView at the arrival instant and routes. Dispatchers that
 // implement the StatelessDispatcher capability — routing independent of
-// dynamic member state, like roundrobin — let the loop dispatch whole
-// arrival batches ahead of the members, extending the horizon across
-// many arrivals; queuedepth and costaware read live views and route one
-// arrival per round. Once the feed is exhausted a final round drains
+// dynamic member state, like roundrobin — let a federation of more than
+// one member dispatch whole arrival batches ahead of the members,
+// extending the horizon across many arrivals; queuedepth and costaware
+// read live views and route one arrival per round, as does a
+// one-member federation, which has no barrier to amortize. Once the feed is exhausted a final round drains
 // each member through its last completion; trailing timers after a
 // member's last completion stay unprocessed, as in a single run.
 //
@@ -353,6 +354,7 @@ func (f *Federation) peek() error {
 // state, the policy picks a member, and the job is injected through the
 // member's admission path.
 func (f *Federation) dispatch(j workload.Job) error {
+	var infeasible error
 	for i, m := range f.members {
 		v := ClusterView{
 			Index:        i,
@@ -360,19 +362,27 @@ func (f *Federation) dispatch(j workload.Job) error {
 			Nodes:        m.cl.N(),
 			MeanCost:     m.meanCost,
 			Priced:       m.priced,
-			JobsInSystem: m.sim.JobsInSystem(),
+			JobsInSystem: m.sim.JobsInSystemAt(j.Submit),
 			Dispatched:   m.dispatched,
 		}
 		if err := m.sim.CanAdmit(j); err == nil {
 			v.CanRun = true
 			v.FreeSlots = m.sim.FreeTaskSlots(j)
+		} else if infeasible == nil {
+			infeasible = fmt.Errorf("%s: %w", m.spec.Name, err)
 		}
 		f.views[i] = v
 	}
 	target := f.disp.Dispatch(j, f.views)
 	if target < 0 {
-		return fmt.Errorf("federation: dispatcher %s found no feasible cluster for job %d (%d tasks)",
+		err := fmt.Errorf("federation: dispatcher %s found no feasible cluster for job %d (%d tasks)",
 			f.disp.Name(), j.ID, j.Tasks)
+		if infeasible != nil {
+			// The lowest-index member's admission error rides along, so
+			// callers can errors.As the simulator's typed capacity errors.
+			err = fmt.Errorf("%w: member %w", err, infeasible)
+		}
+		return err
 	}
 	if target >= len(f.members) {
 		return fmt.Errorf("federation: dispatcher %s returned member %d of %d for job %d",

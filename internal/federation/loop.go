@@ -162,9 +162,12 @@ func (f *Federation) run(ctx context.Context, workers int) (*Result, error) {
 	// Stateless dispatchers route independently of dynamic member state,
 	// so whole arrival batches can be dispatched ahead of the members,
 	// stretching the lookahead horizon across many arrivals; stateful
-	// policies sample live views and barrier on every arrival.
+	// policies sample live views and barrier on every arrival. A single
+	// member has no barrier to amortize, so it takes one arrival at a time
+	// and never holds read-ahead jobs. The choice depends on the members,
+	// never on the worker count, so Events agree across worker counts.
 	batch := 1
-	if s, ok := f.disp.(StatelessDispatcher); ok && s.Stateless() {
+	if s, ok := f.disp.(StatelessDispatcher); ok && s.Stateless() && len(f.members) > 1 {
 		batch = dispatchBatch
 	}
 	advancedTo := math.Inf(-1)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/floats"
@@ -20,11 +21,24 @@ import (
 // the first processed event it is 0.
 func (s *Simulator) Now() float64 { return s.now }
 
-// JobsInSystem returns the number of jobs admitted but not yet completed
-// (pending + running + paused). It counts only jobs the source or
-// InjectJob has actually delivered, so it is the queue-depth signal
-// dispatch policies balance on.
-func (s *Simulator) JobsInSystem() int { return s.remainingJobs }
+// JobsInSystem returns the number of jobs that have arrived by the
+// simulator's clock and not yet completed (pending + running + paused). It
+// is the count scheduler timing samples and observers report.
+func (s *Simulator) JobsInSystem() int { return s.JobsInSystemAt(s.now) }
+
+// JobsInSystemAt returns the number of unfinished jobs submitted at or
+// before t. Admitted jobs submitted after t — the source's one-job
+// lookahead, or jobs InjectJob delivered ahead of the clock — do not
+// count. A dispatcher samples it at the arriving job's instant, so jobs
+// routed earlier in a burst of coincident arrivals count as queued even
+// while the member's clock lags behind them.
+func (s *Simulator) JobsInSystemAt(t float64) int {
+	// The arrival FIFO is in submission order, so the admitted jobs that
+	// arrive after t are its suffix.
+	fifo := s.arrFIFO
+	arrived := sort.Search(len(fifo), func(i int) bool { return s.jobs[fifo[i]].job.Submit > t })
+	return s.remainingJobs - (len(fifo) - arrived)
+}
 
 // CanAdmit reports whether job j could ever be admitted to this simulator's
 // cluster: it runs the exact per-job admission checks —

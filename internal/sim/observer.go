@@ -40,8 +40,9 @@ type Observer interface {
 	JobCompleted(now float64, jid int, turnaround float64)
 	// SchedulerInvoked fires after every scheduler hook invocation with
 	// the hook's name ("init", "arrival", "completion", "timer"), the
-	// number of unfinished jobs in the system, and the hook's wall-clock
-	// duration (nondeterministic).
+	// number of arrived, unfinished jobs in the system (JobsInSystem as
+	// the hook ran), and the hook's wall-clock duration
+	// (nondeterministic).
 	SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration)
 }
 

@@ -820,7 +820,7 @@ func (s *Simulator) invoke(hook string, fn func()) {
 		fn()
 		return
 	}
-	inSystem := s.remainingJobs
+	inSystem := s.JobsInSystem()
 	t0 := time.Now()
 	fn()
 	elapsed := time.Since(t0)

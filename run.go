@@ -50,14 +50,16 @@ const (
 type EventRecorder = sim.Recorder
 
 // UnschedulableError reports a job whose per-task requirement for the
-// binding resource exceeds every node of the materialised cluster; Run and
-// Campaign reject such traces eagerly instead of letting them starve.
+// binding resource exceeds every node of the materialised cluster. Run
+// rejects such traces eagerly instead of letting them starve; Campaign and
+// RunFederated fail when the job is dispatched, wrapping this error.
 type UnschedulableError = sim.UnschedulableError
 
 // InsufficientCapacityError reports a job whose simultaneous tasks exceed
 // the empty cluster's aggregate capacity in its rigid resource dimensions
-// (e.g. a 16-task GPU job on a cluster with four GPU nodes); Run and
-// Campaign reject such traces eagerly instead of deadlocking mid-run.
+// (e.g. a 16-task GPU job on a cluster with four GPU nodes). Run rejects
+// such traces eagerly instead of deadlocking mid-run; Campaign and
+// RunFederated fail when the job is dispatched, wrapping this error.
 type InsufficientCapacityError = sim.InsufficientCapacityError
 
 // JobResult records the outcome of one job of a finished run.
