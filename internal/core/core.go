@@ -14,7 +14,10 @@
 //   - the preemption priority function max(30, flowTime)/virtualTime^2
 //     (Section III-A);
 //   - the estimated-stretch solver used by DYNMCB8-STRETCH-PER
-//     (Section III-B).
+//     (Section III-B);
+//   - the allocators' rigid-dimension capacity bound, which the DYNMCB8
+//     shed loop evaluates along its removal chain (ShedBound) to skip job
+//     sets the allocators would reject before packing.
 package core
 
 import (
@@ -126,11 +129,13 @@ type packProbe struct {
 	owner   []int // item index -> index into jobs
 	backing []float64
 	yields  []float64 // per-job yield of the current probe
-	totals  []float64
+	// caps caches the cluster's aggregate capacity per dimension for the
+	// capacity bound, computed once per allocator call.
+	caps []float64
 	// rigidTotals caches the per-dimension demand sums for dimensions >= 1,
 	// which are invariant across the probes of one instance (only the CPU
-	// dimension changes with the yields). Accumulated in item order, exactly
-	// as pack's per-probe loop would.
+	// dimension changes with the yields). Accumulated in item order by
+	// AddRigidDemand.
 	rigidTotals []float64
 	buf         vectorpack.PackBuffer
 	repack      vectorpack.RepackState // warm-start state for the MCB path
@@ -179,16 +184,12 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	compare:
 		for ji := range jobs {
 			j := &jobs[ji]
-			if p.prevTasks[ji] != j.Tasks || p.backing[ji*d+cluster.DimMem] != j.MemReq {
+			if p.prevTasks[ji] != j.Tasks {
 				same = false
 				break
 			}
-			for k := 0; k < d-cluster.MinDims; k++ {
-				want := 0.0
-				if k < len(j.Extra) {
-					want = j.Extra[k]
-				}
-				if p.backing[ji*d+cluster.MinDims+k] != want {
+			for k := cluster.DimMem; k < d; k++ {
+				if p.backing[ji*d+k] != j.rigidReq(k) {
 					same = false
 					break compare
 				}
@@ -206,6 +207,7 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	if m, ok := packer.(vectorpack.MCB8); ok {
 		p.mcb, p.isMCB = m, true
 	}
+	p.caps = AggregateCaps(p.caps, c)
 	if same {
 		return
 	}
@@ -229,10 +231,6 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 		p.yields = make([]float64, len(jobs))
 	}
 	p.yields = p.yields[:len(jobs)]
-	if cap(p.totals) < d {
-		p.totals = make([]float64, d)
-	}
-	p.totals = p.totals[:d]
 	if cap(p.prevTasks) < len(jobs) {
 		p.prevTasks = make([]int, len(jobs))
 	}
@@ -243,12 +241,8 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 		p.prevTasks[ji] = j.Tasks
 		req := cluster.Vec(p.backing[ji*d : (ji+1)*d : (ji+1)*d])
 		req[cluster.DimCPU] = 0
-		req[cluster.DimMem] = j.MemReq
-		for k := cluster.MinDims; k < d; k++ {
-			req[k] = 0
-		}
-		for k := 0; k < d-cluster.MinDims && k < len(j.Extra); k++ {
-			req[cluster.MinDims+k] = j.Extra[k]
+		for k := cluster.DimMem; k < d; k++ {
+			req[k] = j.rigidReq(k)
 		}
 		for k := 0; k < j.Tasks; k++ {
 			// Items whose Req already aliases this job's backing row (a
@@ -266,37 +260,12 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 }
 
 // refreshRigidTotals recomputes the cached demand sums of the rigid
-// dimensions (>= 1) in item order — the same accumulation sequence as a
-// per-probe loop over the flat backing, so pack's capacity bound sees
-// bit-identical sums.
+// dimensions (>= 1) with AddRigidDemand, the accumulation the DYNMCB8 shed
+// loop's bound check shares, so both see bit-identical sums.
 func (p *packProbe) refreshRigidTotals() {
-	d := p.d
-	if cap(p.rigidTotals) < d {
-		p.rigidTotals = make([]float64, d)
-	}
-	p.rigidTotals = p.rigidTotals[:d]
-	for k := 1; k < d; k++ {
-		p.rigidTotals[k] = 0
-	}
-	if d == 2 {
-		// Two-resource hot path: one rigid dimension, no inner loop.
-		total := 0.0
-		for ji := range p.jobs {
-			v := p.backing[2*ji+1]
-			for t := 0; t < p.jobs[ji].Tasks; t++ {
-				total += v
-			}
-		}
-		p.rigidTotals[1] = total
-		return
-	}
+	p.rigidTotals = zeroed(p.rigidTotals, p.d)
 	for ji := range p.jobs {
-		base := ji * d
-		for t := 0; t < p.jobs[ji].Tasks; t++ {
-			for k := 1; k < d; k++ {
-				p.rigidTotals[k] += p.backing[base+k]
-			}
-		}
+		AddRigidDemand(p.rigidTotals, &p.jobs[ji])
 	}
 }
 
@@ -323,12 +292,8 @@ func (p *packProbe) pack() bool {
 			cpuTotal += cpu
 		}
 	}
-	copy(p.totals[1:], p.rigidTotals[1:])
-	p.totals[0] = cpuTotal
-	for k := 0; k < d; k++ {
-		if p.totals[k] > p.c.TotalCap(k)+floats.Eps {
-			return false
-		}
+	if cpuTotal > p.caps[cluster.DimCPU]+floats.Eps || RigidOverflow(p.rigidTotals, p.caps) {
+		return false
 	}
 	var assign []int
 	var ok bool
@@ -733,19 +698,6 @@ func (w *Workspace) MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster,
 		p.yields[i] = YieldForStretchTarget(jobs[i], T, bestTarget)
 	}
 	return p.allocation(), true
-}
-
-// ImproveAverageStretch is the stretch-driven counterpart of
-// ImproveAverageYield: leftover CPU is granted to jobs in ascending total
-// CPU need, which raises their yields and therefore lowers their estimated
-// stretch at the next event. The mechanics are identical; only the
-// motivation differs, so it simply delegates.
-func ImproveAverageStretch(jobs []StretchState, alloc *Allocation, c *cluster.Cluster) {
-	specs := make([]JobSpec, len(jobs))
-	for i, s := range jobs {
-		specs[i] = s.JobSpec
-	}
-	ImproveAverageYield(specs, alloc, c, nil)
 }
 
 // ValidateAllocation checks an allocation against the hard constraints of

@@ -13,6 +13,12 @@
 // Whenever no allocation exists however small the yield (a memory-bound
 // instance), the job with the smallest priority is removed from
 // consideration — paused if it was running — and the packing is retried.
+// The removal keys are fixed within one event, so the removal order is
+// sorted once, and the candidate sets form a nested chain. The shed loop
+// walks that chain with running sums of the rigid demand (memory, GPU, ...)
+// and jumps over every set whose demand exceeds the cluster's aggregate
+// capacity: the allocator would reject such a set before packing anything,
+// so skipping it changes no result, only the number of allocator calls.
 //
 // The package also provides the fairness extension sketched in the paper's
 // conclusion (Section VII): long-running jobs are excluded from the
@@ -20,8 +26,9 @@
 package mcb
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -91,11 +98,21 @@ type Scheduler struct {
 	prio   sched.PriorityFunc
 	name   string
 
+	// Counters for tests and benchmarks: global repacks over a non-empty
+	// system, allocator calls, and candidate sets the rigid capacity bound
+	// ruled out without one. Solves+BoundSkips is the number of candidate
+	// sets one-at-a-time shedding would have passed to the allocator.
+	Reschedules, Solves, BoundSkips int
+
 	ws      core.Workspace
+	bound   core.ShedBound
 	imp     core.ImproveScratch
 	states  []core.StretchState
-	specs   []core.JobSpec
+	specs   []core.JobSpec // parallel to cands
 	cands   []int
+	dropped []bool
+	order   []int
+	remap   []int
 	runBuf  []int
 	yields  []float64
 	prioBuf []float64
@@ -182,72 +199,113 @@ func (s *Scheduler) OnTimer(ctl *sim.Controller, tag int64) {
 	ctl.SetTimer(ctl.Now()+s.opt.Period, tickTag)
 }
 
-// reschedule runs the global repack over every job in the system.
+// reschedule runs the global repack over every job in the system. The
+// candidate set is the whole system; while the allocator finds no
+// allocation, however small the yield, it drops the next job in the
+// removal order — ascending priority, ties toward the largest memory
+// footprint (fastest route back to feasibility), then by jid — and
+// retries. Removal keys depend only on the event time, so the order is
+// sorted once per event. Each candidate set is first checked against the
+// allocator's rigid-dimension capacity bound (core.ShedBound); a set the
+// bound rules out would fail the allocator's first probe before any
+// packing, so the loop jumps over it without calling the allocator.
 func (s *Scheduler) reschedule(ctl *sim.Controller) {
 	now := ctl.Now()
 	s.cands = ctl.AppendActiveJobs(s.cands[:0])
-	candidates := s.cands
-	if len(candidates) == 0 {
+	all := s.cands
+	if len(all) == 0 {
 		return
 	}
-	var alloc *core.Allocation
-	var inSet []int
-	var prios, mems []float64 // removal keys, parallel to candidates
-	for {
-		inSet = candidates
-		var ok bool
-		alloc, ok = s.solve(ctl, inSet, now)
-		if ok {
-			break
+	s.Reschedules++
+	specs := s.specs[:0]
+	for _, jid := range all {
+		specs = append(specs, sched.SpecOf(ctl, jid))
+	}
+	s.specs = specs
+	s.bound.Reset(specs, ctl.Cluster())
+	if s.bound.Fits(specs, nil) {
+		if alloc, ok := s.solve(ctl, all, specs, now); ok {
+			s.apply(ctl, all, alloc)
+			return
 		}
-		// Memory-bound: drop the smallest-priority job and retry. Ties
-		// break toward the job with the largest memory footprint (fastest
-		// route back to feasibility), then by jid. The keys depend only on
-		// the event time, so they are computed once and filtered alongside
-		// the candidate list across retries; nothing retains the unfiltered
-		// list, so the removal is in place.
-		if prios == nil {
-			prios, mems = s.removalKeys(ctl, candidates, now)
+	} else {
+		s.BoundSkips++
+	}
+	// Memory-bound: walk the chain of candidate sets. Dropping the last
+	// job leaves the empty set, which needs no solve.
+	order := s.removalOrder(ctl, all, now)
+	if cap(s.dropped) < len(all) {
+		s.dropped = make([]bool, len(all))
+	}
+	dropped := s.dropped[:len(all)]
+	clear(dropped)
+	for m, di := range order[:len(order)-1] {
+		dropped[di] = true
+		s.bound.Drop(&specs[di])
+		if !s.bound.Fits(specs, dropped) {
+			s.BoundSkips++
+			continue
 		}
-		di := pickRemoval(candidates, prios, mems)
-		candidates = append(candidates[:di], candidates[di+1:]...)
-		prios = append(prios[:di], prios[di+1:]...)
-		mems = append(mems[:di], mems[di+1:]...)
-		if len(candidates) == 0 {
-			alloc = core.NewAllocation()
-			inSet = nil
-			break
+		// Later sets are subsets of this one, so the dropped jobs can go
+		// for good; filtering keeps all ascending.
+		all, specs = s.compact(all, specs, dropped, order[m+1:])
+		dropped = dropped[:len(all)]
+		if alloc, ok := s.solve(ctl, all, specs, now); ok {
+			s.apply(ctl, all, alloc)
+			return
 		}
 	}
-	s.apply(ctl, inSet, alloc)
+	s.apply(ctl, nil, core.NewAllocation())
 }
 
-// solve computes the optimal allocation for the given job set under the
-// variant's objective.
-func (s *Scheduler) solve(ctl *sim.Controller, jids []int, now float64) (*core.Allocation, bool) {
+// compact filters the dropped jobs out of jids and the parallel specs in
+// place, clears the marks, and renumbers the indices in rest (the removal
+// order still to come) to the filtered positions.
+func (s *Scheduler) compact(jids []int, specs []core.JobSpec, dropped []bool, rest []int) ([]int, []core.JobSpec) {
+	if cap(s.remap) < len(jids) {
+		s.remap = make([]int, len(jids))
+	}
+	remap := s.remap[:len(jids)]
+	w := 0
+	for i := range jids {
+		remap[i] = w
+		if !dropped[i] {
+			jids[w], specs[w] = jids[i], specs[i]
+			w++
+		}
+		dropped[i] = false
+	}
+	for j, i := range rest {
+		rest[j] = remap[i]
+	}
+	return jids[:w], specs[:w]
+}
+
+// solve computes the optimal allocation for the given job set, whose specs
+// are parallel to jids, under the variant's objective.
+func (s *Scheduler) solve(ctl *sim.Controller, jids []int, specs []core.JobSpec, now float64) (*core.Allocation, bool) {
+	s.Solves++
+	c := ctl.Cluster()
 	if s.opt.Stretch {
 		states := s.states[:0]
-		for _, jid := range jids {
+		for i, jid := range jids {
 			states = append(states, core.StretchState{
-				JobSpec:     sched.SpecOf(ctl, jid),
+				JobSpec:     specs[i],
 				FlowTime:    now - ctl.JobRef(jid).Submit,
 				VirtualTime: ctl.VirtualTime(jid),
 			})
 		}
 		s.states = states
-		alloc, ok := s.ws.MinEstimatedStretch(states, ctl.Cluster(), s.packer, s.opt.Period)
+		alloc, ok := s.ws.MinEstimatedStretch(states, c, s.packer, s.opt.Period)
 		if !ok {
 			return nil, false
 		}
-		core.ImproveAverageStretch(states, alloc, ctl.Cluster())
+		// Leftover CPU goes out as in the min-yield variant: raising a
+		// yield lowers the job's estimated stretch at the next event.
+		s.imp.ImproveAverageYieldRanked(specs, alloc, c, nil, nil)
 		return alloc, true
 	}
-	specs := s.specs[:0]
-	for _, jid := range jids {
-		specs = append(specs, sched.SpecOf(ctl, jid))
-	}
-	s.specs = specs
-	alloc, ok := s.ws.MaxMinYield(specs, ctl.Cluster(), s.packer)
+	alloc, ok := s.ws.MaxMinYield(specs, c, s.packer)
 	if !ok {
 		return nil, false
 	}
@@ -257,41 +315,32 @@ func (s *Scheduler) solve(ctl *sim.Controller, jids []int, now float64) (*core.A
 			return ctl.VirtualTime(spec.ID) <= s.opt.FairnessAge
 		}
 	}
-	s.imp.ImproveAverageYieldRanked(specs, alloc, ctl.Cluster(), eligible, sched.ImproveRank(ctl, specs, alloc))
+	s.imp.ImproveAverageYieldRanked(specs, alloc, c, eligible, sched.ImproveRank(ctl, specs, alloc))
 	return alloc, true
 }
 
-// removalKeys computes each candidate's removal priority and memory
-// footprint into the scheduler's scratch buffers.
-func (s *Scheduler) removalKeys(ctl *sim.Controller, jids []int, now float64) (prios, mems []float64) {
-	prios, mems = s.prioBuf[:0], s.memBuf[:0]
-	for _, jid := range jids {
+// removalOrder returns the indices into jids in removal order: ascending
+// priority, then descending memory footprint (Tasks·MemReq), then
+// ascending jid. Priorities must not be NaN.
+func (s *Scheduler) removalOrder(ctl *sim.Controller, jids []int, now float64) []int {
+	prios, mems, order := s.prioBuf[:0], s.memBuf[:0], s.order[:0]
+	for i, jid := range jids {
 		j := ctl.JobRef(jid)
 		prios = append(prios, s.prio(now-j.Submit, ctl.VirtualTime(jid)))
 		mems = append(mems, float64(j.Tasks)*j.MemReq)
+		order = append(order, i)
 	}
-	s.prioBuf, s.memBuf = prios, mems
-	return prios, mems
-}
-
-// pickRemoval selects the job to drop from a memory-bound instance and
-// returns its index in jids.
-func pickRemoval(jids []int, prios, mems []float64) int {
-	best := -1
-	bi := -1
-	bestPrio := math.Inf(1)
-	bestMem := -1.0
-	for i, jid := range jids {
-		p, mem := prios[i], mems[i]
+	s.prioBuf, s.memBuf, s.order = prios, mems, order
+	slices.SortFunc(order, func(a, b int) int {
 		switch {
-		case best < 0,
-			p < bestPrio,
-			p == bestPrio && mem > bestMem,
-			p == bestPrio && mem == bestMem && jid < best:
-			best, bi, bestPrio, bestMem = jid, i, p, mem
+		case prios[a] != prios[b]:
+			return cmp.Compare(prios[a], prios[b])
+		case mems[a] != mems[b]:
+			return cmp.Compare(mems[b], mems[a])
 		}
-	}
-	return bi
+		return jids[a] - jids[b]
+	})
+	return order
 }
 
 // apply transitions the cluster from its current allocation to alloc:
@@ -301,8 +350,8 @@ func pickRemoval(jids []int, prios, mems []float64) int {
 // in the set are started/resumed; finally yields are applied through the
 // two-phase update.
 func (s *Scheduler) apply(ctl *sim.Controller, inSet []int, alloc *core.Allocation) {
-	// inSet descends from ActiveJobs with jobs filtered out in place, so it
-	// is sorted ascending: membership is a binary search, no keep-map.
+	// inSet is ActiveJobs with the shed jobs filtered out, so it is sorted
+	// ascending: membership is a binary search, no keep-map.
 	inKeptSet := func(jid int) bool {
 		i := sort.SearchInts(inSet, jid)
 		return i < len(inSet) && inSet[i] == jid

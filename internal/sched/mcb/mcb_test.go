@@ -234,6 +234,19 @@ func TestPeriodicTicksDoNotLeakAfterCompletion(t *testing.T) {
 	}
 }
 
+// seq returns n node ids, each node i appearing i%3+1 times in a block, the
+// blocks rotated by rot.
+func seq(n, rot int) []int {
+	var s []int
+	for i := 0; len(s) < n; i++ {
+		for k := 0; k <= i%3 && len(s) < n; k++ {
+			s = append(s, i)
+		}
+	}
+	rot %= n
+	return append(s[rot:], s[:rot]...)
+}
+
 func TestSameMultiset(t *testing.T) {
 	cases := []struct {
 		a, b []int
@@ -244,6 +257,10 @@ func TestSameMultiset(t *testing.T) {
 		{[]int{}, []int{}, true},
 		{[]int{1}, []int{1, 1}, false},
 		{[]int{3, 3}, []int{3, 3}, true},
+		{seq(10, 3), seq(10, 4), true},
+		{seq(10, 3), append(seq(9, 3), 3), false},
+		{seq(300, 3), seq(300, 4), true},
+		{seq(300, 3), append(seq(299, 3), 3), false},
 	}
 	for _, c := range cases {
 		if got := sim.SameMultiset(c.a, c.b); got != c.want {

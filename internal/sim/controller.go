@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/floats"
@@ -459,8 +460,10 @@ func (c *Controller) Penalty() float64 { return c.sim.cfg.Penalty }
 // SameMultiset reports whether a and b contain the same nodes with the same
 // multiplicities. Tasks are interchangeable, so allocations differing only
 // by a permutation are physically identical. Jobs rarely exceed a handful
-// of tasks, so small inputs take an allocation-free quadratic count-compare
-// path; only larger ones fall back to a counting map.
+// of tasks, so small inputs take a quadratic count-compare path; larger
+// ones compare sorted copies, kept on the stack up to 128 tasks (DYNMCB8
+// checks every running job at every repack, and a counting map there was
+// most of a campaign's allocation).
 func SameMultiset(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -508,17 +511,17 @@ func SameMultiset(a, b []int) bool {
 		}
 		return true
 	}
-	count := map[int]int{}
-	for _, x := range a {
-		count[x]++
+	var buf [2 * 128]int
+	sorted := buf[:]
+	if 2*len(a) > len(buf) {
+		sorted = make([]int, 2*len(a))
 	}
-	for _, x := range b {
-		count[x]--
-		if count[x] < 0 {
-			return false
-		}
-	}
-	return true
+	sa, sb := sorted[:len(a)], sorted[len(a):2*len(a)]
+	copy(sa, a)
+	copy(sb, b)
+	slices.Sort(sa)
+	slices.Sort(sb)
+	return slices.Equal(sa, sb)
 }
 
 // EarliestFinish returns, assuming perfect knowledge of execution times and

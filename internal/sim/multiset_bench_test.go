@@ -6,7 +6,7 @@ import "testing"
 // the simulator actually sees: repacks usually hand a job back the exact
 // node list it already held (the element-wise equality fast path), small
 // gangs take the quadratic path, and only large permuted placements fall
-// through to the counting map.
+// through to comparing sorted copies.
 func BenchmarkSameMultiset(b *testing.B) {
 	perm := func(n, rot int) []int {
 		s := make([]int, n)
