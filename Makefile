@@ -35,17 +35,18 @@ bench-compare:
 
 # CPU profile of one BenchmarkTableI iteration, written under PROFILE_DIR,
 # then the share of samples in the DYNMCB8 scheduler (mcb), the allocator
-# (core) and the packer (vectorpack): flat is time in the package's own
-# code, cum the largest cumulative share of one of its functions.
+# (core), the packer (vectorpack), the event engine (sim) and its node index
+# (sim/index): flat is time in the package's own code, cum the largest
+# cumulative share of one of its functions.
 PROFILE_DIR ?= /tmp
 profile-mcb:
 	$(GO) test -run '^$$' -bench '^BenchmarkTableI$$' -benchtime 1x -o $(PROFILE_DIR)/dfrs-tablei.test -cpuprofile $(PROFILE_DIR)/dfrs-tablei.prof .
 	@$(GO) tool pprof -top -nodecount=1000000 $(PROFILE_DIR)/dfrs-tablei.test $(PROFILE_DIR)/dfrs-tablei.prof 2>/dev/null | awk '\
-		$$6 ~ /^repro\/internal\/(sched\/mcb|core|vectorpack)\./ { \
+		$$6 ~ /^repro\/internal\/(sched\/mcb|core|vectorpack|sim|sim\/index)\./ { \
 			pkg = $$6; sub(/\..*/, "", pkg); f = $$2; c = $$5; sub(/%/, "", f); sub(/%/, "", c); \
 			flat[pkg] += f; if (c + 0 > cum[pkg]) cum[pkg] = c + 0 } \
 		END { printf "%-28s %7s %7s\n", "layer", "flat%", "cum%"; \
-			n = split("repro/internal/sched/mcb repro/internal/core repro/internal/vectorpack", p, " "); \
+			n = split("repro/internal/sched/mcb repro/internal/core repro/internal/vectorpack repro/internal/sim repro/internal/sim/index", p, " "); \
 			for (i = 1; i <= n; i++) printf "%-28s %6.1f%% %6.1f%%\n", p[i], flat[p[i]], cum[p[i]] }'
 
 # Short fuzz session over the SWF parser (the deterministic corpus also

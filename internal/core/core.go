@@ -215,14 +215,10 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	for ji := range jobs {
 		nItems += jobs[ji].Tasks
 	}
-	if cap(p.its) < nItems {
-		p.its = make([]vectorpack.Item, nItems)
-	}
-	p.its = p.its[:nItems]
-	if cap(p.owner) < nItems {
-		p.owner = make([]int, nItems)
-	}
-	p.owner = p.owner[:nItems]
+	// The item arrays grow geometrically: the task count creeps up event
+	// by event, and exact-size reallocation would copy them on every step.
+	p.its = slices.Grow(p.its[:0], nItems)[:nItems]
+	p.owner = slices.Grow(p.owner[:0], nItems)[:nItems]
 	if cap(p.backing) < len(jobs)*d {
 		p.backing = make([]float64, len(jobs)*d)
 	}
@@ -321,9 +317,7 @@ func (p *packProbe) allocation() *Allocation {
 	clear(alloc.NodesOf)
 	clear(alloc.YieldOf)
 	alloc.MinYield = 0
-	if cap(p.nodesBack) < len(p.its) {
-		p.nodesBack = make([]int, len(p.its))
-	}
+	p.nodesBack = slices.Grow(p.nodesBack[:0], len(p.its))
 	off := 0
 	for ji := range p.jobs {
 		j := &p.jobs[ji]

@@ -162,12 +162,19 @@ func legacyMCB8Pack(items []Item, nodes []cluster.NodeSpec) ([]int, bool) {
 // TestMCB8MatchesLegacyOnReferenceNodes is the d=2 equivalence lock:
 // on clusters of reference nodes the generalized kernel must return
 // exactly the assignments of the historical two-list implementation, item
-// by item, over a large randomized corpus.
+// by item, over a large randomized corpus. The second half of the corpus
+// groups items into jobs sharing one Req slice, so the kernel replays
+// node patterns across the identical reference nodes while the per-item
+// legacy kernel searches every node.
 func TestMCB8MatchesLegacyOnReferenceNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 1000; trial++ {
 		n := 1 + r.Intn(24)
 		items := randomItems(r, r.Intn(80), 0.9)
+		if trial >= 500 {
+			items, _ = groupedItems(randomReplayJobs(r, 2))
+			n = 1 + r.Intn(64)
+		}
 		nodes := cluster.Uniform(n)
 		want, wantOK := legacyMCB8Pack(items, nodes)
 		got, gotOK := MCB8{}.Pack(items, nodes)

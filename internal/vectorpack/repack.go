@@ -33,6 +33,11 @@ type RepackState struct {
 	nodesLen int
 	norm     cluster.Vec
 
+	// Cached objective bin order for the same node set: it depends only on
+	// the objective, the nodes and norm, scored with every bin empty.
+	binOrder   []int
+	binOrderOK bool
+
 	// Previous instance's group structure: per-group item count and a
 	// copy of the full requirement vector (stride d). Rigid dimensions
 	// (1..d-1) identify a group across packings — the CPU entry is
@@ -58,20 +63,21 @@ type RepackState struct {
 	prevAssign []int
 
 	// Counters for tests and benchmarks: full sorts taken (per
-	// dimension), structural rebuilds, exact-repeat hits, total packs.
-	Sorts, Rebuilds, Repeats, Packs int
+	// dimension), structural rebuilds, exact-repeat hits, total packs, and
+	// nodes filled by replaying the previous node's pattern.
+	Sorts, Rebuilds, Repeats, Packs, Replays int
 }
 
 // Invalidate drops all cached state; the next PackWarm re-sorts from
 // scratch.
 func (st *RepackState) Invalidate() {
-	st.valid, st.prevValid = false, false
+	st.valid, st.prevValid, st.binOrderOK = false, false, false
 	st.nodesPtr, st.nodesLen = nil, 0
 }
 
 // normFor returns the cached mean-capacity normalization for nodes,
-// recomputing it (and dropping order/repeat caches, which are scaled by
-// it) when the node set changes.
+// recomputing it (and dropping the order, bin-order and repeat caches,
+// which depend on it) when the node set changes.
 func (st *RepackState) normFor(nodes []cluster.NodeSpec, d int) cluster.Vec {
 	if st.nodesLen == len(nodes) && st.nodesPtr == &nodes[0] && len(st.norm) == d {
 		return st.norm
@@ -82,8 +88,21 @@ func (st *RepackState) normFor(nodes []cluster.NodeSpec, d int) cluster.Vec {
 	st.norm = st.norm[:d]
 	meanCapsInto(nodes, st.norm)
 	st.nodesPtr, st.nodesLen = &nodes[0], len(nodes)
-	st.valid, st.prevValid = false, false
+	st.valid, st.prevValid, st.binOrderOK = false, false, false
 	return st.norm
+}
+
+// binOrderFor returns m's bin opening order for the node set normFor last
+// saw (nil for the published index order), computing it once per node set.
+func (st *RepackState) binOrderFor(m MCB8, nodes []cluster.NodeSpec, d int) []int {
+	if m.Objective == nil {
+		return nil
+	}
+	if !st.binOrderOK {
+		st.binOrder = binOrder(m.Objective, nodes, d, st.norm)
+		st.binOrderOK = true
+	}
+	return st.binOrder
 }
 
 // groupEq reports whether old group oi matches new group ni: same item
@@ -293,12 +312,8 @@ func (m MCB8) PackWarm(items []Item, nodes []cluster.NodeSpec, b *PackBuffer, st
 		if !st.prevOK {
 			return nil, false
 		}
-		if cap(b.assign) < len(items) {
-			b.assign = make([]int, len(items))
-		}
-		assign := b.assign[:len(items)]
-		copy(assign, st.prevAssign)
-		return assign, true
+		b.assign = append(b.assign[:0], st.prevAssign...)
+		return b.assign, true
 	}
 
 	// Classify every group by its dominant normalized dimension — the
@@ -364,7 +379,8 @@ func (m MCB8) PackWarm(items []Item, nodes []cluster.NodeSpec, b *PackBuffer, st
 		b.chains[k].reset(list, b, items, d, k)
 	}
 
-	assign, ok := m.fill(items, nodes, d, norm, b)
+	assign, ok, replays := b.fill(items, nodes, d, st.binOrderFor(m, nodes, d))
+	st.Replays += replays
 	st.snapshot(items, b, d, assign, ok)
 	return assign, ok
 }

@@ -126,33 +126,41 @@ func TestPackWarmMatchesBatch(t *testing.T) {
 }
 
 // TestPackWarmClusterChangeInvalidates pins that switching node sets
-// mid-state recomputes the normalization instead of reusing the stale one.
+// mid-state recomputes the normalization and, under an objective, the bin
+// order instead of reusing the stale ones.
 func TestPackWarmClusterChangeInvalidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := 2
 	small := randomRepackNodes(rng, 4, d)
 	big := randomRepackNodes(rng, 24, d)
+	for i := range small {
+		small[i].Cost = float64(len(small) - i)
+	}
+	for i := range big {
+		big[i].Cost = float64(i % 5)
+	}
 	in := &repackInstance{d: d}
 	for i := 0; i < 12; i++ {
 		in.jobs = append(in.jobs, repackJob{tasks: 1 + i%3, cpuNeed: 0.1 + 0.05*float64(i), rigid: []float64{0.1 + 0.06*float64(i)}})
 	}
 	in.rebuild()
-	var m MCB8
-	var buf PackBuffer
-	var st RepackState
-	for _, nodes := range [][]cluster.NodeSpec{small, big, small, big} {
-		for _, y := range []float64{0, 1, 0.5} {
-			in.setYield(y)
-			warm, wok := m.PackWarm(in.items, nodes, &buf, &st)
-			var bb PackBuffer
-			batch, bok := m.PackBuf(in.items, nodes, &bb)
-			if wok != bok {
-				t.Fatalf("nodes=%d yield %g: warm ok=%v batch ok=%v", len(nodes), y, wok, bok)
-			}
-			if wok {
-				for i := range batch {
-					if warm[i] != batch[i] {
-						t.Fatalf("nodes=%d yield %g: item %d warm %d batch %d", len(nodes), y, i, warm[i], batch[i])
+	for _, m := range []MCB8{{}, {Objective: placement.Cost{}}} {
+		var buf PackBuffer
+		var st RepackState
+		for _, nodes := range [][]cluster.NodeSpec{small, big, small, big} {
+			for _, y := range []float64{0, 1, 0.5} {
+				in.setYield(y)
+				warm, wok := m.PackWarm(in.items, nodes, &buf, &st)
+				var bb PackBuffer
+				batch, bok := m.PackBuf(in.items, nodes, &bb)
+				if wok != bok {
+					t.Fatalf("%v nodes=%d yield %g: warm ok=%v batch ok=%v", m.Objective, len(nodes), y, wok, bok)
+				}
+				if wok {
+					for i := range batch {
+						if warm[i] != batch[i] {
+							t.Fatalf("%v nodes=%d yield %g: item %d warm %d batch %d", m.Objective, len(nodes), y, i, warm[i], batch[i])
+						}
 					}
 				}
 			}

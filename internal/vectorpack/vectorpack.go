@@ -63,6 +63,21 @@
 // carrying component minima and live bitmaps), so a node that cannot hold
 // any group of a block skips the whole block, and the sorted-key jump
 // proves the own dimension fits before any member test.
+//
+// # Node-pattern replay
+//
+// A DYNMCB8 packing holds hundreds of tasks but only a dozen or so jobs,
+// spread over many identical nodes, so consecutive nodes usually receive
+// exactly the same sequence of jobs. Filling a node therefore records its
+// pattern — the groups it took and how many items of each — and the
+// following nodes in fill order with equal capacity vectors receive the
+// same pattern directly, as many of them as every pattern group still has
+// items for, with no seed search, headroom order or first-fit scan. The groups left after a node are a subset of those it
+// saw, which makes every replayed node's search return exactly the
+// recorded choices (the argument is spelled out on fill), so replay
+// changes the time a packing takes and never its assignment. It is pinned
+// by a differential test against the same items as singleton groups, which
+// never replay, and by a replay count on a fixed instance.
 package vectorpack
 
 import (
@@ -295,7 +310,16 @@ type PackBuffer struct {
 	chains   []groupChain
 	free     []float64
 	dimOrder []int
+	// The pattern of the node being filled: each group it took once, as
+	// (list, position) in first-take order, with gTake[g] counting the
+	// items of group g it took.
+	pattern []patternTake
+	gTake   []int
 }
+
+// patternTake names one group of a node's pattern by its list and position
+// in that list's chain.
+type patternTake struct{ list, pos int }
 
 // chainBlock is the block size of groupChain's skip structure; a power of
 // two so position→block is a shift.
@@ -416,8 +440,8 @@ func (c *groupChain) findFit(b *PackBuffer, items []Item, free []float64) int {
 
 // take consumes the next item of the group at position pos (items of a
 // group are handed out in ascending index order, exactly the tie-by-index
-// order of the per-item formulation) and clears the group's live bit once
-// empty.
+// order of the per-item formulation), clears the group's live bit once
+// empty, and records the take in the node's pattern.
 func (b *PackBuffer) take(list, pos int) int {
 	c := &b.chains[list]
 	g := c.order[pos]
@@ -426,7 +450,40 @@ func (b *PackBuffer) take(list, pos int) int {
 	if b.gUsed[g] == b.gCount[g] {
 		c.bBits[pos>>chainShift] &^= uint64(1) << (pos & (chainBlock - 1))
 	}
+	if b.gTake[g] == 0 {
+		b.pattern = append(b.pattern, patternTake{list, pos})
+	}
+	b.gTake[g]++
 	return item
+}
+
+// replay gives the bins at fill positions lo..hi-1 the pattern just
+// recorded: every pattern group's next gTake[g] items per bin, ascending
+// index, as take would hand them out. It clears the live bit of every group
+// it exhausts, resets the pattern for the next node, and returns the number
+// of items placed.
+func (b *PackBuffer) replay(order []int, lo, hi int, assign []int) int {
+	placed := 0
+	for bi := lo; bi < hi; bi++ {
+		node := binAt(order, bi)
+		for _, e := range b.pattern {
+			g := b.chains[e.list].order[e.pos]
+			for u := b.gTake[g]; u > 0; u-- {
+				assign[b.gFirst[g]+b.gUsed[g]] = node
+				b.gUsed[g]++
+			}
+			placed += b.gTake[g]
+		}
+	}
+	for _, e := range b.pattern {
+		g := b.chains[e.list].order[e.pos]
+		if b.gUsed[g] == b.gCount[g] {
+			b.chains[e.list].bBits[e.pos>>chainShift] &^= uint64(1) << (e.pos & (chainBlock - 1))
+		}
+		b.gTake[g] = 0
+	}
+	b.pattern = b.pattern[:0]
+	return placed
 }
 
 // Pack implements Packer.
@@ -524,104 +581,141 @@ func (m MCB8) PackBuf(items []Item, nodes []cluster.NodeSpec, b *PackBuffer) ([]
 		})
 		b.chains[k].reset(list, b, items, d, k)
 	}
-	return m.fill(items, nodes, d, norm, b)
+	// The published kernel opens bins in index order; only a configured
+	// objective pays for an explicit order.
+	var order []int
+	if m.Objective != nil {
+		order = binOrder(m.Objective, nodes, d, norm)
+	}
+	assign, ok, _ := b.fill(items, nodes, d, order)
+	return assign, ok
 }
 
 // fill runs the bin-filling phase shared by PackBuf and PackWarm: the
 // chains in b hold each dimension's group list in (key desc, first-item
 // asc) order, and the loop below is the only consumer of that order, so
 // any preparation that reproduces the same sorted lists reproduces the
-// same assignment.
-func (m MCB8) fill(items []Item, nodes []cluster.NodeSpec, d int, norm cluster.Vec, b *PackBuffer) ([]int, bool) {
-	if cap(b.assign) < len(items) {
-		b.assign = make([]int, len(items))
-	}
-	assign := b.assign[:len(items)]
-	for i := range assign {
-		assign[i] = -1
-	}
+// same assignment. order is the bin opening order (nil: index order). It
+// also returns the number of bins filled by replay.
+//
+// After filling a node, fill replays its pattern onto the following bins
+// in fill order with equal capacity vectors, as many as every pattern
+// group still has items for. That is exact. Groups only
+// leave the live set, so at every step of a later node the live set is a
+// subset of the live set at the same step of the recorded one. While every
+// pattern group still holds its per-node count, the group chosen at each
+// step is still live; the free vector has gone through the same
+// subtractions from the same capacities, so the headroom order and every
+// fit test repeat; and the first live fitting group of a list, taken from a
+// subset that still contains the recorded choice, is that same choice. The
+// seed repeats too: any other list's first fit can only move later in its
+// list, to an equal or smaller key. The closing "nothing fits" repeats for
+// the same reason, and a node that took nothing leaves every identical
+// node after it empty as well. Items of a group go out in ascending index
+// either way, so the assignment matches item for item.
+func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order []int) ([]int, bool, int) {
+	// No reset of assign: a pack succeeds only once every item is placed,
+	// and a failed one returns no assignment.
+	b.assign = slices.Grow(b.assign[:0], len(items))[:len(items)]
+	assign := b.assign
 	if cap(b.free) < d {
 		b.free = make([]float64, d)
 		b.dimOrder = make([]int, d)
 	}
-	free, dimOrder := b.free[:d], b.dimOrder[:d]
-	placed := 0
-	// The published kernel opens bins in index order; only a configured
-	// objective pays for an explicit order (Pack sits inside the min-yield
-	// binary search, so the nil path must not allocate in steady state).
-	var order []int
-	if m.Objective != nil {
-		order = binOrder(m.Objective, nodes, d, norm)
-	}
+	b.free, b.dimOrder = b.free[:d], b.dimOrder[:d]
+	b.gTake = slices.Grow(b.gTake[:0], len(b.gCount))[:len(b.gCount)]
+	clear(b.gTake)
+	b.pattern = b.pattern[:0]
+	placed, replays := 0, 0
 	for bi := 0; bi < len(nodes) && placed < len(items); bi++ {
-		node := bi
-		if order != nil {
-			node = order[bi]
-		}
+		node := binAt(order, bi)
 		caps := nodes[node].Caps
-		copy(free, caps)
-		for k := 0; k < d; k++ {
-			b.chains[k].startNode()
-		}
-		// Seed the node with the first fitting item of any list,
-		// preferring the one with the overall largest normalized
-		// requirement (the original algorithm picks arbitrarily; this
-		// choice is deterministic and matches the sort order — ties go to
-		// the lowest list, the published CPU-first rule). On a reference
-		// node every item fits, so each list's candidate is its head and
-		// the behaviour is identical to the homogeneous algorithm; a thin
-		// node may have to skip items too large for it.
-		seedList, seedPos := -1, -1
-		best := math.Inf(-1)
-		for k := 0; k < d; k++ {
-			pos := b.chains[k].findFit(b, items, free)
-			if pos < 0 {
-				continue
-			}
-			if g := b.chains[k].order[pos]; b.gMax[g] > best {
-				best = b.gMax[g]
-				seedList, seedPos = k, pos
+		placed += b.fillNode(items, node, caps, assign)
+		r := len(nodes) - 1 - bi
+		for _, e := range b.pattern {
+			g := b.chains[e.list].order[e.pos]
+			if n := (b.gCount[g] - b.gUsed[g]) / b.gTake[g]; n < r {
+				r = n
 			}
 		}
-		if seedList < 0 {
-			continue
+		run := 0
+		for run < r && caps.Equal(nodes[binAt(order, bi+1+run)].Caps) {
+			run++
 		}
-		seed := b.take(seedList, seedPos)
-		assign[seed] = node
-		for k := 0; k < d; k++ {
-			free[k] -= items[seed].Req[k]
-		}
-		placed++
-		// Keep filling: try the lists in order of the node's remaining
-		// per-dimension headroom, measured relative to the node's own
-		// capacities, so the chosen item goes against the current
-		// imbalance (on equal-ratio nodes — every built-in d=2 profile and
-		// the reference node — this is exactly the absolute comparison of
-		// the published algorithm; ties keep the lower dimension first,
-		// the published CPU-primary rule).
-		for {
-			headroomOrder(free, caps, dimOrder)
-			idx := -1
-			for _, k := range dimOrder {
-				if pos := b.chains[k].findFit(b, items, free); pos >= 0 {
-					idx = b.take(k, pos)
-					break
-				}
-			}
-			if idx < 0 {
-				break
-			}
-			assign[idx] = node
-			for k := 0; k < d; k++ {
-				free[k] -= items[idx].Req[k]
-			}
-			placed++
-		}
+		placed += b.replay(order, bi+1, bi+1+run, assign)
+		bi += run
+		replays += run
 	}
 	if placed < len(items) {
-		return nil, false
+		return nil, false, replays
 	}
-	return assign, true
+	return assign, true, replays
+}
+
+// fillNode fills one node by the imbalance-window search, recording its
+// pattern, and returns the number of items placed.
+func (b *PackBuffer) fillNode(items []Item, node int, caps cluster.Vec, assign []int) int {
+	free, dimOrder := b.free, b.dimOrder
+	d := len(free)
+	copy(free, caps)
+	for k := 0; k < d; k++ {
+		b.chains[k].startNode()
+	}
+	// Seed the node with the first fitting item of any list, preferring the
+	// one with the overall largest normalized requirement (the original
+	// algorithm picks arbitrarily; this choice is deterministic and matches
+	// the sort order — ties go to the lowest list, the published CPU-first
+	// rule). On a reference node every item fits, so each list's candidate
+	// is its head and the behaviour is identical to the homogeneous
+	// algorithm; a thin node may have to skip items too large for it.
+	seedList, seedPos := -1, -1
+	best := math.Inf(-1)
+	for k := 0; k < d; k++ {
+		pos := b.chains[k].findFit(b, items, free)
+		if pos < 0 {
+			continue
+		}
+		if g := b.chains[k].order[pos]; b.gMax[g] > best {
+			best = b.gMax[g]
+			seedList, seedPos = k, pos
+		}
+	}
+	if seedList < 0 {
+		return 0
+	}
+	idx := b.take(seedList, seedPos)
+	placed := 0
+	// Keep filling: try the lists in order of the node's remaining
+	// per-dimension headroom, measured relative to the node's own
+	// capacities, so the chosen item goes against the current imbalance (on
+	// equal-ratio nodes — every built-in d=2 profile and the reference node
+	// — this is exactly the absolute comparison of the published algorithm;
+	// ties keep the lower dimension first, the published CPU-primary rule).
+	for idx >= 0 {
+		assign[idx] = node
+		for k := 0; k < d; k++ {
+			free[k] -= items[idx].Req[k]
+		}
+		placed++
+		headroomOrder(free, caps, dimOrder)
+		idx = -1
+		for _, k := range dimOrder {
+			if pos := b.chains[k].findFit(b, items, free); pos >= 0 {
+				idx = b.take(k, pos)
+				break
+			}
+		}
+	}
+	return placed
+}
+
+// binAt returns the bin opened at fill position bi: bi itself in the
+// published index order, order[bi] under an objective.
+func binAt(order []int, bi int) int {
+	if order != nil {
+		return order[bi]
+	}
+	return bi
 }
 
 // normBuf returns the buffer's d-sized normalization scratch.
