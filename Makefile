@@ -49,10 +49,13 @@ profile-mcb:
 			n = split("repro/internal/sched/mcb repro/internal/core repro/internal/vectorpack repro/internal/sim repro/internal/sim/index", p, " "); \
 			for (i = 1; i <= n; i++) printf "%-28s %6.1f%% %6.1f%%\n", p[i], flat[p[i]], cum[p[i]] }'
 
-# Short fuzz session over the SWF parser (the deterministic corpus also
-# runs as a normal test in `make test`).
+# Short fuzz sessions over the three input parsers, one after another: the
+# SWF loader and the two dfrs-serve submission parsers (topology spec,
+# campaign grid). Their seed corpora also run as normal tests in `make test`.
 fuzz:
-	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/swf/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/swf/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s ./internal/federation/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./internal/campaign/
 
 # The blocking steps of .github/workflows/ci.yml, in the same order.
 ci: build vet fmt test race bench-module

@@ -448,8 +448,15 @@ type nodeCnt struct {
 // heuristic across calls; the zero value is ready. The heuristic runs on
 // every scheduling event of the greedy and DYNMCB8 families, so per-call
 // allocation of its node bookkeeping is measurable at scale.
+//
+// at is the per-node pair marker: while one job's placement is counted,
+// at[node] is 1 + the index of node's pair in pairs, or 0 if the job has
+// no task there yet. Only the current job's entries are ever non-zero and
+// they are reset once it is counted, so at is all zeros between jobs and
+// between calls, whatever cluster size the previous call had.
 type ImproveScratch struct {
 	used  []float64
+	at    []int
 	pairs []nodeCnt
 	off   []int
 	order []int
@@ -465,6 +472,10 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 	for i := range used {
 		used[i] = 0
 	}
+	if cap(sc.at) < c.N() {
+		sc.at = make([]int, c.N())
+	}
+	at := sc.at[:c.N()]
 	// Per-job (node, task count) pairs, flattened into one slice with
 	// offsets — the per-job map this used to be was the dominant allocation
 	// of every scheduling event. Pair order is first-occurrence order;
@@ -478,22 +489,20 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 	off[0] = 0
 	for ji := range jobs {
 		j := &jobs[ji]
-		start := len(pairs)
+		y := alloc.YieldOf[j.ID]
 		for _, node := range alloc.NodesOf[j.ID] {
-			found := false
-			for k := start; k < len(pairs); k++ {
-				if pairs[k].node == node {
-					pairs[k].cnt++
-					found = true
-					break
-				}
-			}
-			if !found {
+			if k := at[node]; k > 0 {
+				pairs[k-1].cnt++
+			} else {
 				pairs = append(pairs, nodeCnt{node, 1})
+				at[node] = len(pairs)
 			}
-			used[node] += j.CPUNeed * alloc.YieldOf[j.ID]
+			used[node] += j.CPUNeed * y
 		}
 		off[ji+1] = len(pairs)
+		for _, nc := range pairs[off[ji]:] {
+			at[nc.node] = 0
+		}
 	}
 	sc.pairs = pairs
 	// Ascending total CPU need, ties by descending rank (when given), then

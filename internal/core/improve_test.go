@@ -1,0 +1,107 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/cluster"
+)
+
+// cloneAlloc copies the yields of a; the improvement heuristic only reads
+// node lists, so they are shared.
+func cloneAlloc(a *Allocation) *Allocation {
+	b := NewAllocation()
+	for id, nodes := range a.NodesOf {
+		b.NodesOf[id] = nodes
+	}
+	for id, y := range a.YieldOf {
+		b.YieldOf[id] = y
+	}
+	b.MinYield = a.MinYield
+	return b
+}
+
+// TestImproveCountsRepeatedNodesOutOfOrder pins the improvement of a job
+// whose node list revisits nodes out of order, [3,1,3,2,1,3]: three tasks on
+// node 3, two on node 1, one on node 2. Every quantity is a dyadic
+// fraction, so the arithmetic is exact.
+//
+// Caps are 1, 0.5, 1, 2. Job 1 (need 5/16, yield 1) shares node 1 and
+// cannot rise; job 2 (two tasks of need 1/4 on node 2, yield 1/2) has the
+// next-lowest total need, so it is raised first, to 1 (its headroom
+// allows 1.4375 more). Job 0 (need 1/8, yield 1/4) is then bound by node
+// 1: used 2*(1/8)*(1/4) + 5/16 = 3/8, headroom 1/8, and its two tasks
+// there allow 1/8 / (2*(1/8)) = 1/2 more, so it reaches 3/4. Counting node
+// 1 once would give 1, three times 7/12. Job 2's node list repeating a node
+// of job 0 also checks the dedup markers are cleared between jobs.
+func TestImproveCountsRepeatedNodesOutOfOrder(t *testing.T) {
+	c := cluster.New([]cluster.NodeSpec{
+		cluster.Spec(1, 1), cluster.Spec(0.5, 1), cluster.Spec(1, 1), cluster.Spec(2, 1),
+	})
+	js := specs(
+		JobSpec{ID: 0, Tasks: 6, CPUNeed: 0.125, MemReq: 0.1},
+		JobSpec{ID: 1, Tasks: 1, CPUNeed: 0.3125, MemReq: 0.1},
+		JobSpec{ID: 2, Tasks: 2, CPUNeed: 0.25, MemReq: 0.1},
+	)
+	alloc := NewAllocation()
+	alloc.NodesOf[0] = []int{3, 1, 3, 2, 1, 3}
+	alloc.NodesOf[1] = []int{1}
+	alloc.NodesOf[2] = []int{2, 2}
+	alloc.YieldOf[0] = 0.25
+	alloc.YieldOf[1] = 1
+	alloc.YieldOf[2] = 0.5
+	var sc ImproveScratch
+	for call := 0; call < 2; call++ { // the second call reuses the scratch
+		a := cloneAlloc(alloc)
+		sc.ImproveAverageYieldRanked(js, a, c, nil, nil)
+		if a.YieldOf[0] != 0.75 || a.YieldOf[1] != 1 || a.YieldOf[2] != 1 {
+			t.Fatalf("call %d: yields %v, want 0:0.75 1:1 2:1", call, a.YieldOf)
+		}
+	}
+}
+
+// TestImproveScratchReuseAcrossClusterSizes runs one ImproveScratch over
+// clusters that grow, shrink and grow again, and checks every result
+// against a call with fresh buffers: nothing a previous call left in the
+// scratch may leak into the next.
+func TestImproveScratchReuseAcrossClusterSizes(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	caps := []float64{0.5, 1, 2}
+	var sc ImproveScratch
+	for round, n := range []int{4, 16, 3, 24, 2, 24} {
+		for rep := 0; rep < 20; rep++ {
+			specsN := make([]cluster.NodeSpec, n)
+			for i := range specsN {
+				specsN[i] = cluster.Spec(caps[r.Intn(3)], 1)
+			}
+			c := cluster.New(specsN)
+			var js []JobSpec
+			alloc := NewAllocation()
+			for id, nj := 0, 1+r.Intn(8); id < nj; id++ {
+				j := JobSpec{ID: id, Tasks: 1 + r.Intn(6), CPUNeed: 0.05 + 0.3*r.Float64(), MemReq: 0.1}
+				js = append(js, j)
+				nodes := make([]int, j.Tasks)
+				for k := range nodes {
+					nodes[k] = r.Intn(n)
+				}
+				alloc.NodesOf[id] = nodes
+				alloc.YieldOf[id] = 0.05 + 0.5*r.Float64()
+			}
+			var rank []float64
+			if r.Intn(2) == 0 {
+				for range js {
+					rank = append(rank, float64(r.Intn(3)))
+				}
+			}
+			want := cloneAlloc(alloc)
+			ImproveAverageYieldRanked(js, want, c, nil, rank)
+			sc.ImproveAverageYieldRanked(js, alloc, c, nil, rank)
+			for id, y := range want.YieldOf {
+				if alloc.YieldOf[id] != y {
+					t.Fatalf("round %d (n=%d) rep %d: job %d yield %v with reused scratch, %v fresh",
+						round, n, rep, id, alloc.YieldOf[id], y)
+				}
+			}
+		}
+	}
+}

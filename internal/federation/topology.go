@@ -8,6 +8,12 @@ import (
 	"repro/internal/cluster"
 )
 
+// MaxMembers is the most clusters a topology may name. A count is parsed
+// from untrusted input (a grid posted to dfrs-serve), and the members are
+// allocated before any of them runs, so an unchecked count is an
+// allocation of the caller's choosing.
+const MaxMembers = 1024
+
 // ParseTopology parses the compact cluster-topology notation shared by
 // the -clusters CLI flag and the campaign federation axis. Two forms:
 //
@@ -21,6 +27,7 @@ import (
 //
 // Mix names are validated against the registered profiles and normalized
 // ("uniform" and "" are the same profile); node counts must be positive.
+// Either form may name at most MaxMembers clusters.
 func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -33,6 +40,9 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 		if n < 1 {
 			return nil, fmt.Errorf("federation: topology %q: cluster count must be positive", spec)
 		}
+		if n > MaxMembers {
+			return nil, fmt.Errorf("federation: topology %q: cluster count above the limit of %d", spec, MaxMembers)
+		}
 		members := make([]MemberSpec, n)
 		for i := range members {
 			members[i] = MemberSpec{Mix: cluster.NormalizeProfile(defMix), Nodes: defNodes}
@@ -40,6 +50,9 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 		return members, nil
 	}
 	parts := strings.Split(spec, "+")
+	if len(parts) > MaxMembers {
+		return nil, fmt.Errorf("federation: topology %q: %d members, above the limit of %d", spec, len(parts), MaxMembers)
+	}
 	members := make([]MemberSpec, 0, len(parts))
 	for _, part := range parts {
 		part = strings.TrimSpace(part)

@@ -238,17 +238,20 @@ func (c *Controller) FreeMem(node int) float64 {
 // node's load divided by its own CPU capacity (the paper's capital lambda;
 // on the unit-capacity platform this is exactly the raw load). The greedy
 // yield rule 1/max(1, lambda) keeps every node within its capacity. The
-// value is read from the node index's root, so it is O(1).
+// node index is synced, then read at its root: O(nodes changed since the
+// last read), not O(nodes).
 func (c *Controller) MaxCPULoad() float64 {
-	return c.sim.nodeIdx.MaxLoad()
+	return c.sim.syncIndex().MaxLoad()
 }
 
-// NodeIndex exposes the simulator's tournament tree over per-node
+// NodeIndex syncs and exposes the simulator's tournament tree over per-node
 // (relative CPU load, free memory). Schedulers may query it — and overlay
 // tentative placements with Set — but must restore every touched leaf to
 // the live values (CPULoad(node)/CPUCap(node), FreeMem(node)) before
-// returning control to the simulator.
-func (c *Controller) NodeIndex() *index.NodeIndex { return c.sim.nodeIdx }
+// returning control to the simulator. The tree is current only until the
+// next Start, Migrate, Pause, Resume or completion: callers must not hold it
+// across one, but call NodeIndex again after it.
+func (c *Controller) NodeIndex() *index.NodeIndex { return c.sim.syncIndex() }
 
 // IncrementAttempts bumps and returns the job's failed-attempt counter,
 // which greedy algorithms use for bounded exponential backoff.

@@ -366,10 +366,15 @@ type Simulator struct {
 	// released on Pause/completion, never scaled by yield.
 	usedRigid [][]float64
 	// nodeIdx mirrors per-node (relative CPU load, free memory) in a
-	// tournament tree, refreshed whenever a node's occupancy changes, so
-	// MaxCPULoad and the greedy least-loaded-feasible-node query need no
-	// O(nodes) scans.
-	nodeIdx *index.NodeIndex
+	// tournament tree, so MaxCPULoad and the greedy least-loaded-feasible-
+	// node query need no O(nodes) scans. It is synced lazily: an occupancy
+	// change only marks the node dirty (idxDirty, listed once in
+	// idxDirtyList), and syncIndex writes the dirty leaves when the tree is
+	// read. Most schedulers never read it, so they never pay for it.
+	nodeIdx      *index.NodeIndex
+	idxDirty     []bool
+	idxDirtyList []int
+	idxSyncs     int // leaf writes done by syncIndex, for tests
 
 	completionGen   uint64
 	pendingComplete *eventq.Event
@@ -474,6 +479,7 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	s.nodeIdx = index.NewNodeIndex(n, func(node int) float64 {
 		return floats.NonNeg(s.cl.MemCap(node) - s.usedRigid[0][node])
 	})
+	s.idxDirty = make([]bool, n)
 	s.ctl = Controller{sim: s}
 	s.result = Result{
 		Algorithm:   sched.Name(),
@@ -1043,6 +1049,7 @@ func (s *Simulator) occupyNodes(j *jobRT, nodes []int) {
 		}
 	}
 	for _, node := range nodes {
+		s.refreshNode(node)
 		s.cpuLoad[node] += j.job.CPUNeed
 		for r := range s.usedRigid {
 			dem := j.job.Demand(r + 1)
@@ -1056,25 +1063,43 @@ func (s *Simulator) occupyNodes(j *jobRT, nodes []int) {
 			}
 		}
 	}
-	// Refresh after all occupancy is accumulated: a node listed once per
-	// task then re-derives its leaf from final values, and repeats beyond
-	// the first stop at the leaf's unchanged parent.
-	for _, node := range nodes {
-		s.refreshNode(node)
+}
+
+// refreshNode marks node's tournament-tree leaf stale after a change to its
+// occupancy; syncIndex re-derives it when the tree is next read. A node is
+// listed once however often it changes in between.
+func (s *Simulator) refreshNode(node int) {
+	if !s.idxDirty[node] {
+		s.idxDirty[node] = true
+		s.idxDirtyList = append(s.idxDirtyList, node)
 	}
 }
 
-// refreshNode re-derives node's tournament-tree leaf from its live
-// occupancy, using exactly the expressions of the historical per-node
-// scans (Controller.MaxCPULoad, FreeMem).
-func (s *Simulator) refreshNode(node int) {
-	s.nodeIdx.Set(node,
-		s.cpuLoad[node]/s.cl.CPUCap(node),
-		floats.NonNeg(s.cl.MemCap(node)-s.usedRigid[0][node]))
+// leafValues derives node's tournament-tree leaf from its live occupancy,
+// using exactly the expressions of the historical per-node scans
+// (Controller.MaxCPULoad, FreeMem).
+func (s *Simulator) leafValues(node int) (relLoad, freeMem float64) {
+	return s.cpuLoad[node] / s.cl.CPUCap(node), floats.NonNeg(s.cl.MemCap(node) - s.usedRigid[0][node])
+}
+
+// syncIndex writes every stale leaf and returns the tree. The tree's
+// aggregates are exact min/max over its leaves and every Set leaves it
+// consistent, so the synced tree depends only on the final leaf values,
+// not on how many changes were folded into one write or in what order.
+func (s *Simulator) syncIndex() *index.NodeIndex {
+	for _, node := range s.idxDirtyList {
+		load, mem := s.leafValues(node)
+		s.nodeIdx.Set(node, load, mem)
+		s.idxDirty[node] = false
+	}
+	s.idxSyncs += len(s.idxDirtyList)
+	s.idxDirtyList = s.idxDirtyList[:0]
+	return s.nodeIdx
 }
 
 func (s *Simulator) releaseNodes(j *jobRT) {
 	for _, node := range j.nodes {
+		s.refreshNode(node)
 		s.cpuLoad[node] -= j.job.CPUNeed
 		s.usedCPU[node] -= j.job.CPUNeed * j.yield
 		s.cpuLoad[node] = floats.NonNeg(s.cpuLoad[node])
@@ -1084,9 +1109,6 @@ func (s *Simulator) releaseNodes(j *jobRT) {
 				s.usedRigid[r][node] = floats.NonNeg(s.usedRigid[r][node] - dem)
 			}
 		}
-	}
-	for _, node := range j.nodes {
-		s.refreshNode(node)
 	}
 	if cap(j.nodes) > 0 {
 		s.freeNodes = append(s.freeNodes, j.nodes[:0])
@@ -1187,6 +1209,29 @@ func (s *Simulator) validate() error {
 					node, resourceName(s.cl, r+1), usedRigid[node*(d-1)+r], s.cl.Cap(node, r+1))
 			}
 		}
+	}
+	return s.validateIndex()
+}
+
+// validateIndex syncs the node index and checks it against the live
+// occupancy: every leaf must hold exactly the values leafValues derives, and
+// the root maximum must equal the historical scan, which started its
+// running maximum at 0 and only took strictly larger loads.
+func (s *Simulator) validateIndex() error {
+	t := s.syncIndex()
+	maxLoad, maxNode := 0.0, -1
+	for node := range s.cpuLoad {
+		load, mem := s.leafValues(node)
+		if t.Load(node) != load || t.FreeMem(node) != mem {
+			return fmt.Errorf("sim: node %d index leaf (load %g, free memory %g) disagrees with live (load %g, free memory %g)",
+				node, t.Load(node), t.FreeMem(node), load, mem)
+		}
+		if load > maxLoad {
+			maxLoad, maxNode = load, node
+		}
+	}
+	if got := t.MaxLoad(); got != maxLoad {
+		return fmt.Errorf("sim: node index max load %g disagrees with scan %g (node %d)", got, maxLoad, maxNode)
 	}
 	return nil
 }
