@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is what the repository considers green.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-module bench-json bench-compare profile-mcb fuzz ci
+.PHONY: all build vet fmt test race bench bench-module profile-mcb fuzz ci
 
 all: build
 
@@ -17,21 +17,6 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
-
-# Benchmark results as committable JSON (see BENCH_PR*.json baselines).
-# Override BENCH_OUT to choose the output file.
-BENCH_OUT ?= BENCH.json
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... | $(GO) run ./cmd/dfrs-bench > $(BENCH_OUT)
-
-# Compare the current PR's committed baseline against the previous one and
-# flag >10% ns/op regressions. Non-blocking in CI (single-iteration
-# benchmark timings are noisy; treat failures as a prompt to re-measure,
-# not a verdict). Override BENCH_OLD/BENCH_NEW to diff other baselines.
-BENCH_OLD ?= BENCH_PR9.json
-BENCH_NEW ?= BENCH_PR10.json
-bench-compare:
-	$(GO) run ./cmd/dfrs-bench -compare -old $(BENCH_OLD) -new $(BENCH_NEW) -threshold 10
 
 # CPU profile of one BenchmarkTableI iteration, written under PROFILE_DIR,
 # then the share of samples in the DYNMCB8 scheduler (mcb), the allocator

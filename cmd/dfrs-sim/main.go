@@ -22,11 +22,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	dfrs "repro"
 	"repro/internal/cli"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -228,7 +228,7 @@ func main() {
 		opts = append(opts, dfrs.WithTimeline())
 	}
 	if *events {
-		opts = append(opts, dfrs.WithObserver(stderrObserver{}))
+		opts = append(opts, dfrs.WithObserver(sim.ObserverFunc(printEvent)))
 	}
 	// -summary-only folds each job's stretch into the shared online
 	// aggregator (the same layer behind dfrs-serve's live snapshots) as it
@@ -496,26 +496,22 @@ func reportFederated(fres dfrs.FederatedResult, tr dfrs.Trace, traceLabel string
 	fmt.Printf("events       %d\n", fres.Events())
 }
 
-// stderrObserver prints every scheduling transition live, the simplest
+// printEvent prints every scheduling transition live, the simplest
 // consumer of the observer hooks.
-type stderrObserver struct{}
-
-func (stderrObserver) JobSubmitted(now float64, jid int) {
-	fmt.Fprintf(os.Stderr, "t=%-12.1f submit   job %d\n", now, jid)
+func printEvent(e sim.Event) {
+	switch e.Kind {
+	case sim.EvSubmitted:
+		fmt.Fprintf(os.Stderr, "t=%-12.1f submit   job %d\n", e.Time, e.JID)
+	case sim.EvStarted:
+		fmt.Fprintf(os.Stderr, "t=%-12.1f start    job %d on %v\n", e.Time, e.JID, e.Nodes)
+	case sim.EvPreempted:
+		fmt.Fprintf(os.Stderr, "t=%-12.1f preempt  job %d\n", e.Time, e.JID)
+	case sim.EvMigrated:
+		fmt.Fprintf(os.Stderr, "t=%-12.1f migrate  job %d to %v\n", e.Time, e.JID, e.Nodes)
+	case sim.EvCompleted:
+		fmt.Fprintf(os.Stderr, "t=%-12.1f complete job %d (turnaround %.1fs)\n", e.Time, e.JID, e.Turnaround)
+	}
 }
-func (stderrObserver) JobStarted(now float64, jid int, nodes []int) {
-	fmt.Fprintf(os.Stderr, "t=%-12.1f start    job %d on %v\n", now, jid, nodes)
-}
-func (stderrObserver) JobPreempted(now float64, jid int) {
-	fmt.Fprintf(os.Stderr, "t=%-12.1f preempt  job %d\n", now, jid)
-}
-func (stderrObserver) JobMigrated(now float64, jid int, nodes []int) {
-	fmt.Fprintf(os.Stderr, "t=%-12.1f migrate  job %d to %v\n", now, jid, nodes)
-}
-func (stderrObserver) JobCompleted(now float64, jid int, turnaround float64) {
-	fmt.Fprintf(os.Stderr, "t=%-12.1f complete job %d (turnaround %.1fs)\n", now, jid, turnaround)
-}
-func (stderrObserver) SchedulerInvoked(float64, string, int, time.Duration) {}
 
 // writeTimelineCSV dumps the recorded transitions for offline analysis or
 // plotting: one row per (time, job, kind, yield, frozen_until).

@@ -221,8 +221,7 @@ func runFederated(ctx context.Context, t *workload.Trace, dims int, source workl
 		CheckInvariants: cfg.check,
 		Workers:         workers,
 	}
-	if cfg.observer != nil {
-		obs := cfg.observer
+	if obs := sim.Fanout(cfg.observers...); obs != nil {
 		fspec.Observer = func(int) sim.Observer { return obs }
 	}
 	if cfg.jobSink != nil {

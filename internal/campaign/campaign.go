@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -39,6 +40,18 @@ const (
 	// weekly segments as in Section IV-C. Its cluster size is fixed by
 	// the model, so grid Nodes values are ignored for this family.
 	FamilyHPC2N = "hpc2n"
+)
+
+// Size limits of a grid. A grid is untrusted input (dfrs-serve takes it
+// over HTTP) and is expanded, then run, in memory, so every size it names
+// is bounded. Each limit sits far above the paper-scale presets (Figure 1
+// at paper scale is 100 traces x 9 loads x 9 algorithms = 8,100 cells of
+// 1,000-job traces).
+const (
+	// MaxCells bounds the cells a grid may expand to.
+	MaxCells = 1 << 20
+	// MaxJobsPerTrace bounds JobsPerTrace.
+	MaxJobsPerTrace = 1 << 20
 )
 
 // Unscaled is the Load value meaning "do not rescale the trace" (the
@@ -298,6 +311,9 @@ func (g *Grid) Validate() error {
 		if n <= 0 {
 			return fmt.Errorf("campaign: non-positive cluster size %d", n)
 		}
+		if n > cluster.MaxNodes {
+			return fmt.Errorf("campaign: cluster size %d above the limit of %d", n, cluster.MaxNodes)
+		}
 	}
 	for _, mix := range g.NodeMixes {
 		if !cluster.ValidProfile(mix) {
@@ -336,7 +352,53 @@ func (g *Grid) Validate() error {
 	if g.JobsPerTrace < 0 {
 		return fmt.Errorf("campaign: negative jobs per trace %d", g.JobsPerTrace)
 	}
+	if g.JobsPerTrace > MaxJobsPerTrace {
+		return fmt.Errorf("campaign: %d jobs per trace, above the limit of %d", g.JobsPerTrace, MaxJobsPerTrace)
+	}
+	if n := g.cellBound(); n > MaxCells {
+		return fmt.Errorf("campaign: grid %q expands to up to %d cells, above the limit of %d", g.Name, n, MaxCells)
+	}
 	return nil
+}
+
+// cellBound bounds len(g.Cells()) from above without expanding the grid:
+// the product of the axis lengths as Cells expands them (an empty axis
+// expands to one default value), summed over families, saturating at
+// math.MaxInt. Deduplication only lowers the real count.
+func (g *Grid) cellBound() int {
+	axis := func(n int) int { return max(n, 1) }
+	perTrace := satMul(axis(len(g.NodeMixes)), axis(len(g.Objectives)), axis(len(g.Penalties)), len(g.Algorithms))
+	if len(g.Topologies) > 0 {
+		perTrace = satMul(perTrace, len(g.Topologies), axis(len(g.Dispatchers)))
+	}
+	traces := 0
+	for _, f := range g.Families {
+		loads, nodes := axis(len(g.Loads)), axis(len(g.Nodes))
+		if len(f.Loads) > 0 {
+			loads = len(f.Loads)
+		}
+		if f.Kind == FamilyHPC2N {
+			nodes = 1
+		}
+		if c := satMul(f.Count, loads, nodes); c > math.MaxInt-traces {
+			traces = math.MaxInt
+		} else {
+			traces += c
+		}
+	}
+	return satMul(axis(len(g.Seeds)), traces, perTrace)
+}
+
+// satMul multiplies non-negative factors, saturating at math.MaxInt.
+func satMul(xs ...int) int {
+	p := 1
+	for _, x := range xs {
+		if x != 0 && p > math.MaxInt/x {
+			return math.MaxInt
+		}
+		p *= x
+	}
+	return p
 }
 
 // Cells expands the grid into its cells in a deterministic order:

@@ -7,7 +7,7 @@ import (
 
 // FuzzParseGrid asserts the submission parser's contract for dfrs-serve:
 // no request body panics it, and an accepted grid is valid and survives a
-// JSON round trip through ParseGrid.
+// JSON round trip through ParseGrid, and expands to at most MaxCells cells.
 func FuzzParseGrid(f *testing.F) {
 	for _, body := range []string{
 		`{"algorithms":["easy"],"families":[{"kind":"lublin","count":1}]}`,
@@ -22,6 +22,8 @@ func FuzzParseGrid(f *testing.F) {
 		`{"algorithms":[],"families":[]}`,
 		`{"typo":1}`,
 		`[]`, `null`, `{`, ``, `{"nodes":[-1]}`,
+		`{"algorithms":["easy"],"families":[{"kind":"lublin","count":1000000000}],"nodes":[1000000000],"jobs_per_trace":1000000000}`,
+		`{"algorithms":["easy","fcfs"],"families":[{"kind":"lublin","count":1024,"loads":[0.5,0.9]},{"kind":"hpc2n","count":4}],"seeds":[1,2],"penalties":[0,300],"objectives":["","cost"],"loads":[0.7]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -35,6 +37,9 @@ func FuzzParseGrid(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%q: accepted grid fails validation: %v", data, err)
+		}
+		if n := len(g.Cells()); n > MaxCells {
+			t.Fatalf("%q: accepted grid expands to %d cells", data, n)
 		}
 		out, err := json.Marshal(g)
 		if err != nil {

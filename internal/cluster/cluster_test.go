@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -131,6 +134,20 @@ func TestProfileErrors(t *testing.T) {
 	}
 	if _, err := Profile(ProfileBimodal, 0); err == nil {
 		t.Error("zero node count accepted")
+	}
+}
+
+// TestProfileRejectsAboveMaxNodes: a node count above MaxNodes is an error
+// naming the count, returned before any node is allocated.
+func TestProfileRejectsAboveMaxNodes(t *testing.T) {
+	for _, n := range []int{MaxNodes + 1, 1_000_000_000, math.MaxInt} {
+		_, err := Profile(ProfileBimodal, n)
+		if err == nil {
+			t.Fatalf("%d nodes accepted", n)
+		}
+		if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("%d nodes: error %q does not name the count", n, err)
+		}
 	}
 }
 

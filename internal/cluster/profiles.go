@@ -168,11 +168,21 @@ func ValidProfile(name string) bool {
 	return ok
 }
 
-// Profile builds the named node-mix over n nodes. The empty name is the
-// uniform (homogeneous) profile.
+// MaxNodes is the most nodes one cluster may have. Node counts arrive from
+// untrusted input (a trace header or a grid posted to dfrs-serve), and a
+// cluster is allocated node by node before any job runs, so an unchecked
+// count is an allocation of the caller's choosing. The limit sits far
+// above the paper's 128 nodes and the 100k-node scale runs.
+const MaxNodes = 1 << 20
+
+// Profile builds the named node-mix over n nodes, at most MaxNodes. The
+// empty name is the uniform (homogeneous) profile.
 func Profile(name string, n int) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: profile %q needs a positive node count, got %d", name, n)
+	}
+	if n > MaxNodes {
+		return nil, fmt.Errorf("cluster: profile %q: %d nodes, above the limit of %d", name, n, MaxNodes)
 	}
 	if name == "" {
 		name = ProfileUniform

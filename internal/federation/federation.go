@@ -95,9 +95,9 @@ type MemberSpec struct {
 // Spec configures a Federation.
 type Spec struct {
 	// TraceName labels results; NodeMemGB and Dims describe the global
-	// workload (Dims < cluster.MinDims is raised to it; member clusters
-	// are extended with unit capacity to cover Dims, exactly as a single
-	// run extends its cluster to the trace's dimensionality).
+	// workload (member clusters are extended with unit capacity to cover
+	// Dims, exactly as a single run extends its cluster to the trace's
+	// dimensionality).
 	TraceName string
 	NodeMemGB float64
 	Dims      int
@@ -220,10 +220,6 @@ func New(spec Spec, feed workload.JobSource) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	dims := spec.Dims
-	if dims < cluster.MinDims {
-		dims = cluster.MinDims
-	}
 	f := &Federation{
 		spec:    spec,
 		disp:    disp,
@@ -239,7 +235,7 @@ func New(spec Spec, feed workload.JobSource) (*Federation, error) {
 		cbMu = new(sync.Mutex)
 	}
 	for i, ms := range spec.Members {
-		m, err := newMember(i, ms, spec, dims, cbMu)
+		m, err := newMember(i, ms, spec, cbMu)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +244,7 @@ func New(spec Spec, feed workload.JobSource) (*Federation, error) {
 	return f, nil
 }
 
-func newMember(i int, ms MemberSpec, spec Spec, dims int, cbMu *sync.Mutex) (*member, error) {
+func newMember(i int, ms MemberSpec, spec Spec, cbMu *sync.Mutex) (*member, error) {
 	name := ms.Name
 	if name == "" {
 		name = fmt.Sprintf("c%d", i)
@@ -266,23 +262,10 @@ func newMember(i int, ms MemberSpec, spec Spec, dims int, cbMu *sync.Mutex) (*me
 	if algorithm == "" {
 		return nil, fmt.Errorf("federation: member %s: no algorithm (set MemberSpec.Algorithm or Spec.Algorithm)", name)
 	}
-	sch, err := sched.New(algorithm)
-	if err != nil {
-		return nil, fmt.Errorf("federation: member %s: %w", name, err)
-	}
 	objective := ms.Objective
 	if objective == "" {
 		objective = spec.Objective
 	}
-	obj, err := placement.ByName(objective)
-	if err != nil {
-		return nil, fmt.Errorf("federation: member %s: %w", name, err)
-	}
-	cl, err := cluster.Profile(ms.Mix, ms.Nodes)
-	if err != nil {
-		return nil, fmt.Errorf("federation: member %s: %w", name, err)
-	}
-	cl = cl.ExtendUnit(dims)
 	// The member's trace holds no jobs: the federation feeds every job
 	// through InjectJob.
 	cfg := sim.Config{
@@ -291,17 +274,15 @@ func newMember(i int, ms MemberSpec, spec Spec, dims int, cbMu *sync.Mutex) (*me
 			Nodes:     ms.Nodes,
 			NodeMemGB: spec.NodeMemGB,
 		},
-		Cluster:          cl,
 		Penalty:          spec.Penalty,
 		MaxSimTime:       spec.MaxSimTime,
 		CheckInvariants:  spec.CheckInvariants,
 		RecordSchedTimes: spec.RecordSchedTimes,
-		Objective:        obj,
 	}
 	if spec.Observer != nil {
 		if obs := spec.Observer(i); obs != nil {
 			if cbMu != nil {
-				obs = &lockedObserver{mu: cbMu, o: obs}
+				obs = lockedObserver(cbMu, obs)
 			}
 			cfg.Observer = obs
 		}
@@ -318,7 +299,7 @@ func newMember(i int, ms MemberSpec, spec Spec, dims int, cbMu *sync.Mutex) (*me
 			cfg.JobSink = func(jr sim.JobResult) { spec.JobSink(idx, jr) }
 		}
 	}
-	s, err := sim.New(cfg, sch)
+	s, cl, err := NewSimulator(algorithm, objective, ms.Mix, spec.Dims, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("federation: member %s: %w", name, err)
 	}
@@ -329,6 +310,34 @@ func newMember(i int, ms MemberSpec, spec Spec, dims int, cbMu *sync.Mutex) (*me
 	}
 	m.meanCost /= float64(cl.N())
 	return m, nil
+}
+
+// NewSimulator is the one assembly of a simulator, shared by every member
+// of a federation and by the facade's single runs: it resolves the
+// scheduler and the placement objective by name and, unless cfg.Cluster is
+// already set, lays out the node mix over cfg.Trace.Nodes, extended with
+// unit capacity to dims resource dimensions (a cluster declaring as many
+// is kept as is). It returns the simulator and the cluster it runs on.
+func NewSimulator(algorithm, objective, mix string, dims int, cfg sim.Config) (*sim.Simulator, *cluster.Cluster, error) {
+	sch, err := sched.New(algorithm)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.Objective, err = placement.ByName(objective); err != nil {
+		return nil, nil, err
+	}
+	if cfg.Cluster == nil {
+		cl, err := cluster.Profile(mix, cfg.Trace.Nodes)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg.Cluster = cl.ExtendUnit(dims)
+	}
+	s, err := sim.New(cfg, sch)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, cfg.Cluster, nil
 }
 
 // peek maintains the one-job lookahead into the global feed.

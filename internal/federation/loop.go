@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -41,45 +40,12 @@ var errCancelled = errors.New("federation: cancelled")
 // every member's callbacks, so pooled rounds never run user callbacks
 // concurrently. Per-member callback order is unchanged; interleaving
 // across members is not deterministic.
-type lockedObserver struct {
-	mu *sync.Mutex
-	o  sim.Observer
-}
-
-func (l *lockedObserver) JobSubmitted(now float64, jid int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.o.JobSubmitted(now, jid)
-}
-
-func (l *lockedObserver) JobStarted(now float64, jid int, nodes []int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.o.JobStarted(now, jid, nodes)
-}
-
-func (l *lockedObserver) JobPreempted(now float64, jid int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.o.JobPreempted(now, jid)
-}
-
-func (l *lockedObserver) JobMigrated(now float64, jid int, nodes []int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.o.JobMigrated(now, jid, nodes)
-}
-
-func (l *lockedObserver) JobCompleted(now float64, jid int, turnaround float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.o.JobCompleted(now, jid, turnaround)
-}
-
-func (l *lockedObserver) SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.o.SchedulerInvoked(now, hook, jobsInSystem, elapsed)
+func lockedObserver(mu *sync.Mutex, o sim.Observer) sim.Observer {
+	return sim.ObserverFunc(func(e sim.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		e.Deliver(o)
+	})
 }
 
 // parTask asks a worker to advance one member: to the lookahead horizon

@@ -27,14 +27,15 @@ const MaxMembers = 1024
 //
 // Mix names are validated against the registered profiles and normalized
 // ("uniform" and "" are the same profile); node counts must be positive.
-// Either form may name at most MaxMembers clusters.
+// Either form may name at most MaxMembers clusters and cluster.MaxNodes
+// nodes in total.
 func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, fmt.Errorf("federation: empty topology spec")
 	}
-	if defNodes <= 0 {
-		return nil, fmt.Errorf("federation: default node count %d", defNodes)
+	if defNodes <= 0 || defNodes > cluster.MaxNodes {
+		return nil, fmt.Errorf("federation: default node count %d outside [1, %d]", defNodes, cluster.MaxNodes)
 	}
 	if n, err := strconv.Atoi(spec); err == nil {
 		if n < 1 {
@@ -42,6 +43,10 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 		}
 		if n > MaxMembers {
 			return nil, fmt.Errorf("federation: topology %q: cluster count above the limit of %d", spec, MaxMembers)
+		}
+		if n*defNodes > cluster.MaxNodes {
+			return nil, fmt.Errorf("federation: topology %q: %d nodes in total, above the limit of %d",
+				spec, n*defNodes, cluster.MaxNodes)
 		}
 		members := make([]MemberSpec, n)
 		for i := range members {
@@ -54,6 +59,7 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 		return nil, fmt.Errorf("federation: topology %q: %d members, above the limit of %d", spec, len(parts), MaxMembers)
 	}
 	members := make([]MemberSpec, 0, len(parts))
+	total := 0
 	for _, part := range parts {
 		part = strings.TrimSpace(part)
 		mix, nodes := part, defNodes
@@ -65,6 +71,10 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 				return nil, fmt.Errorf("federation: topology %q: bad node count %q", spec, count)
 			}
 			nodes = n
+		}
+		if total += nodes; nodes > cluster.MaxNodes || total > cluster.MaxNodes {
+			return nil, fmt.Errorf("federation: topology %q: node count %d brings the total above the limit of %d",
+				spec, nodes, cluster.MaxNodes)
 		}
 		if mix == "" && part == "" {
 			return nil, fmt.Errorf("federation: topology %q: empty member", spec)

@@ -26,7 +26,6 @@ package online
 import (
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/metrics"
@@ -277,7 +276,29 @@ func (a *Aggregator) ObserveRecord(rec campaign.Record) {
 // Observer returns a sim.Observer that feeds the event counters. Completed
 // jobs are not counted here — ObserveJob owns completions, so wiring both
 // (as the facade's WithOnlineMetrics does) never double-counts.
-func (a *Aggregator) Observer() sim.Observer { return (*eventCounter)(a) }
+func (a *Aggregator) Observer() sim.Observer { return sim.ObserverFunc(a.countEvent) }
+
+// countEvent is the Observer's body. It takes the lock only for the four
+// kinds it counts: completions and scheduler invocations, one or more per
+// event on the simulator's hot path, return without it.
+func (a *Aggregator) countEvent(e sim.Event) {
+	var n *int64
+	switch e.Kind {
+	case sim.EvSubmitted:
+		n = &a.submitted
+	case sim.EvStarted:
+		n = &a.started
+	case sim.EvPreempted:
+		n = &a.preempted
+	case sim.EvMigrated:
+		n = &a.migrated
+	default:
+		return
+	}
+	a.mu.Lock()
+	*n++
+	a.mu.Unlock()
+}
 
 // Snapshot returns a consistent point-in-time view of every aggregate.
 func (a *Aggregator) Snapshot() Snapshot {
@@ -308,52 +329,4 @@ func (a *Aggregator) Snapshot() Snapshot {
 		s.Utilization = a.utilWeighted / a.makespanSum
 	}
 	return s
-}
-
-// eventCounter adapts the aggregator to sim.Observer. It is the same
-// struct under a second type so the Observer methods do not pollute the
-// Aggregator API surface.
-type eventCounter Aggregator
-
-func (c *eventCounter) lock() *sync.Mutex { return &(*Aggregator)(c).mu }
-
-// JobSubmitted implements sim.Observer.
-func (c *eventCounter) JobSubmitted(now float64, jid int) {
-	mu := c.lock()
-	mu.Lock()
-	c.submitted++
-	mu.Unlock()
-}
-
-// JobStarted implements sim.Observer.
-func (c *eventCounter) JobStarted(now float64, jid int, nodes []int) {
-	mu := c.lock()
-	mu.Lock()
-	c.started++
-	mu.Unlock()
-}
-
-// JobPreempted implements sim.Observer.
-func (c *eventCounter) JobPreempted(now float64, jid int) {
-	mu := c.lock()
-	mu.Lock()
-	c.preempted++
-	mu.Unlock()
-}
-
-// JobMigrated implements sim.Observer.
-func (c *eventCounter) JobMigrated(now float64, jid int, nodes []int) {
-	mu := c.lock()
-	mu.Lock()
-	c.migrated++
-	mu.Unlock()
-}
-
-// JobCompleted implements sim.Observer. Completions are counted by
-// ObserveJob (which also sees the stretch); counting them here too would
-// double-report when both hooks are wired.
-func (c *eventCounter) JobCompleted(now float64, jid int, turnaround float64) {}
-
-// SchedulerInvoked implements sim.Observer.
-func (c *eventCounter) SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration) {
 }

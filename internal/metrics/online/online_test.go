@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
@@ -188,6 +189,37 @@ func TestObserverCounters(t *testing.T) {
 	// (same-event refunds) but never undercount it.
 	if snap.Preemptions == 0 {
 		t.Error("contended preempting run reported zero preemption events")
+	}
+}
+
+// TestObserverLocksOnlyCountedKinds: completions and scheduler
+// invocations, the most frequent callbacks, never take the aggregator's
+// lock; the four counted kinds do, and count.
+func TestObserverLocksOnlyCountedKinds(t *testing.T) {
+	a := New()
+	obs := a.Observer()
+	a.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		obs.JobCompleted(1, 0, 5)
+		obs.SchedulerInvoked(1, "completion", 0, time.Millisecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an uncounted callback waited for the aggregator lock")
+	}
+	a.mu.Unlock()
+
+	obs.JobSubmitted(0, 0)
+	obs.JobStarted(0, 0, []int{0})
+	obs.JobPreempted(1, 0)
+	obs.JobStarted(2, 0, []int{1})
+	obs.JobMigrated(3, 0, []int{0})
+	snap := a.Snapshot()
+	if snap.Submitted != 1 || snap.Started != 2 || snap.Preemptions != 1 || snap.Migrations != 1 || snap.Jobs != 0 {
+		t.Errorf("counters %+v, want 1 submitted, 2 started, 1 preemption, 1 migration, 0 jobs", snap)
 	}
 }
 

@@ -53,6 +53,7 @@ import (
 	dfrs "repro"
 	"repro/internal/campaign"
 	"repro/internal/metrics/online"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -500,7 +501,7 @@ func (m *Manager) runTrace(ctx context.Context, j *Job) error {
 	opts := []dfrs.RunOption{
 		dfrs.WithPenalty(ts.Penalty),
 		dfrs.WithOnlineMetrics(j.agg),
-		dfrs.WithObserver(&traceEvents{j: j, every: m.opt.SnapshotEvery}),
+		dfrs.WithObserver(sim.ObserverFunc((&traceEvents{j: j, every: m.opt.SnapshotEvery}).observe)),
 	}
 	if ts.NodeMix != "" {
 		opts = append(opts, dfrs.WithNodeMix(ts.NodeMix))
@@ -553,42 +554,20 @@ type TraceEvent struct {
 	Turnaround float64 `json:"turnaround,omitempty"`
 }
 
-func (t *traceEvents) emit(e TraceEvent) {
-	t.j.hub.publish(Event{Type: EventSim, Data: e})
+// observe publishes one transition; scheduler invocations are not
+// streamed.
+func (t *traceEvents) observe(e sim.Event) {
+	if e.Kind == sim.EvSchedulerInvoked {
+		return
+	}
+	t.j.hub.publish(Event{Type: EventSim, Data: TraceEvent{
+		Kind: e.Kind.String(), Time: e.Time, JID: e.JID, Nodes: e.Nodes, Turnaround: e.Turnaround,
+	}})
 	t.n++
 	if t.n%t.every == 0 {
 		t.j.hub.publish(Event{Type: EventSnapshot, Data: t.j.agg.Snapshot()})
 	}
 }
-
-// JobSubmitted implements dfrs.Observer.
-func (t *traceEvents) JobSubmitted(now float64, jid int) {
-	t.emit(TraceEvent{Kind: "submitted", Time: now, JID: jid})
-}
-
-// JobStarted implements dfrs.Observer.
-func (t *traceEvents) JobStarted(now float64, jid int, nodes []int) {
-	t.emit(TraceEvent{Kind: "started", Time: now, JID: jid, Nodes: nodes})
-}
-
-// JobPreempted implements dfrs.Observer.
-func (t *traceEvents) JobPreempted(now float64, jid int) {
-	t.emit(TraceEvent{Kind: "preempted", Time: now, JID: jid})
-}
-
-// JobMigrated implements dfrs.Observer.
-func (t *traceEvents) JobMigrated(now float64, jid int, nodes []int) {
-	t.emit(TraceEvent{Kind: "migrated", Time: now, JID: jid, Nodes: nodes})
-}
-
-// JobCompleted implements dfrs.Observer.
-func (t *traceEvents) JobCompleted(now float64, jid int, turnaround float64) {
-	t.emit(TraceEvent{Kind: "completed", Time: now, JID: jid, Turnaround: turnaround})
-}
-
-// SchedulerInvoked implements dfrs.Observer; invocation timing is not
-// streamed.
-func (t *traceEvents) SchedulerInvoked(float64, string, int, time.Duration) {}
 
 // path returns the state file for a job ID and extension.
 func (m *Manager) path(id, ext string) string {

@@ -197,6 +197,83 @@ func TestTraceEndToEndHTTP(t *testing.T) {
 	}
 }
 
+// TestTraceEventFramesMatchRecorder: every transition of a /v1/runs job
+// reaches a subscriber that attached before the run started, as one
+// EventSim frame per non-scheduler event of a direct dfrs.Run, with the
+// same kind string, time, jid, nodes and turnaround.
+func TestTraceEventFramesMatchRecorder(t *testing.T) {
+	tr, err := dfrs.SyntheticTrace(dfrs.SyntheticOptions{Seed: 33, Nodes: 32, Jobs: 60, Name: "serve-frames"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = tr.ScaleToLoad(0.8); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon runs the uploaded bytes, whose times are rounded; the
+	// direct run reads the same bytes back.
+	stored, err := dfrs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const alg = "dynmcb8-asap-per"
+	rec := &dfrs.EventRecorder{}
+	if _, err := dfrs.Run(context.Background(), stored, alg, dfrs.WithPenalty(300), dfrs.WithObserver(rec)); err != nil {
+		t.Fatal(err)
+	}
+	var want []TraceEvent
+	for _, e := range rec.Events() {
+		if e.Kind != dfrs.EvSchedulerInvoked {
+			want = append(want, TraceEvent{Kind: e.Kind.String(), Time: e.Time, JID: e.JID, Nodes: e.Nodes, Turnaround: e.Turnaround})
+		}
+	}
+
+	// Hold the one pool slot so the job cannot start before the
+	// subscriber attaches.
+	m := newTestManager(t, Options{Jobs: 1, SnapshotEvery: 16})
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	m.slots <- struct{}{}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	if code := submitJSON(t, srv.URL+"/v1/runs?alg="+alg+"&penalty=300", buf.Bytes(), &sub); code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d", code)
+	}
+	j, _ := m.Get(sub.ID)
+	// Room for every frame of the run (transitions, a snapshot every 16,
+	// statuses), so a slow reader drops none.
+	ch, cancel := j.Subscribe(len(want) + len(want)/16 + 16)
+	defer cancel()
+	<-m.slots
+
+	var got []TraceEvent
+	kinds := map[string]bool{}
+	for e := range ch {
+		if e.Type == EventSim {
+			te := e.Data.(TraceEvent)
+			got = append(got, te)
+			kinds[te.Kind] = true
+		}
+	}
+	if st := waitDone(t, j); st.State != StateDone {
+		t.Fatalf("final status: %+v", st)
+	}
+	if d := j.hub.Dropped(); d != 0 {
+		t.Fatalf("%d frames dropped", d)
+	}
+	if len(kinds) != 5 {
+		t.Errorf("frames carry kinds %v, want all five", kinds)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%d sim frames, recorder %d non-scheduler events; first frames %v, want %v",
+			len(got), len(want), got[:min(4, len(got))], want[:min(4, len(want))])
+	}
+}
+
 func mustMeasure(t *testing.T, encoded []byte) float64 {
 	t.Helper()
 	cur, _, err := dfrs.MeasureStreamLoad(bytes.NewReader(encoded))
@@ -239,6 +316,46 @@ func TestSubmitValidationHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status: got %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsHugeSizesHTTP: a trace declaring a billion nodes and
+// grids naming a billion nodes, cells or jobs per trace are refused at
+// submission with 400, before anything is laid out or expanded.
+func TestSubmitRejectsHugeSizesHTTP(t *testing.T) {
+	m := newTestManager(t, Options{})
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	grid := func(field string, value any) []byte {
+		g := map[string]any{
+			"algorithms": []string{"easy"},
+			"families":   []map[string]any{{"kind": "lublin", "count": 1}},
+		}
+		g[field] = value
+		data, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cases := []struct {
+		name string
+		url  string
+		body []byte
+	}{
+		{"billion-node trace", "/v1/runs?alg=fcfs", []byte("# nodes: 1000000000\nid submit tasks cpu_need mem_req exec_time\n0 1 1 0.5 0.5 10\n")},
+		{"billion-node grid", "/v1/campaigns", grid("nodes", []int{1_000_000_000})},
+		{"billion-cell grid", "/v1/campaigns", grid("families", []map[string]any{{"kind": "lublin", "count": 1_000_000_000}})},
+		{"billion-job traces", "/v1/campaigns", grid("jobs_per_trace", 1_000_000_000)},
+		{"billion-node topology", "/v1/campaigns", grid("topologies", []string{"uniform:1000000000+uniform:1000000000"})},
+	}
+	for _, tc := range cases {
+		if code := submitJSON(t, srv.URL+tc.url, tc.body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: got %d, want 400", tc.name, code)
+		}
+	}
+	if len(m.List()) != 0 {
+		t.Errorf("rejected submissions left %d jobs behind", len(m.List()))
 	}
 }
 

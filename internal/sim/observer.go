@@ -12,7 +12,9 @@ import (
 // synchronously from the simulation loop, in deterministic order for a
 // deterministic (trace, algorithm, cluster, penalty) tuple; an observer
 // that blocks stalls the simulation, so long-running consumers should hand
-// events off (see the dfrs.Stream facade helper).
+// events off (see the dfrs.Stream facade helper). To write one, pass a
+// func(Event) as an ObserverFunc rather than implementing the six methods;
+// Fanout combines several.
 //
 // All times are simulated seconds. Node slices are copies the observer may
 // retain. Elapsed in SchedulerInvoked is wall-clock time and therefore the
@@ -78,9 +80,9 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// Event is one observer callback flattened into a value, the unit of the
-// streaming facade (dfrs.Stream) and of test assertions on event
-// sequences. Fields beyond Kind/Time are populated per kind: JID and Nodes
+// Event is one observer callback flattened into a value (by ObserverFunc;
+// Deliver turns it back into the callback), the unit of the streaming
+// facade (dfrs.Stream) and of test assertions on event sequences. Fields beyond Kind/Time are populated per kind: JID and Nodes
 // for job transitions, Turnaround for completions, Hook/JobsInSystem/
 // Elapsed for scheduler invocations. Elapsed is wall-clock time; zero it
 // before comparing sequences for determinism.
@@ -131,79 +133,102 @@ func (r *Recorder) add(e Event) {
 	r.mu.Unlock()
 }
 
+// The Recorder's callbacks flatten through ObserverFunc, so both record
+// the same Event.
+
 // JobSubmitted implements Observer.
-func (r *Recorder) JobSubmitted(now float64, jid int) {
-	r.add(Event{Kind: EvSubmitted, Time: now, JID: jid})
-}
+func (r *Recorder) JobSubmitted(now float64, jid int) { ObserverFunc(r.add).JobSubmitted(now, jid) }
 
 // JobStarted implements Observer.
 func (r *Recorder) JobStarted(now float64, jid int, nodes []int) {
-	r.add(Event{Kind: EvStarted, Time: now, JID: jid, Nodes: nodes})
+	ObserverFunc(r.add).JobStarted(now, jid, nodes)
 }
 
 // JobPreempted implements Observer.
-func (r *Recorder) JobPreempted(now float64, jid int) {
-	r.add(Event{Kind: EvPreempted, Time: now, JID: jid})
-}
+func (r *Recorder) JobPreempted(now float64, jid int) { ObserverFunc(r.add).JobPreempted(now, jid) }
 
 // JobMigrated implements Observer.
 func (r *Recorder) JobMigrated(now float64, jid int, nodes []int) {
-	r.add(Event{Kind: EvMigrated, Time: now, JID: jid, Nodes: nodes})
+	ObserverFunc(r.add).JobMigrated(now, jid, nodes)
 }
 
 // JobCompleted implements Observer.
 func (r *Recorder) JobCompleted(now float64, jid int, turnaround float64) {
-	r.add(Event{Kind: EvCompleted, Time: now, JID: jid, Turnaround: turnaround})
+	ObserverFunc(r.add).JobCompleted(now, jid, turnaround)
 }
 
 // SchedulerInvoked implements Observer.
 func (r *Recorder) SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration) {
-	r.add(Event{Kind: EvSchedulerInvoked, Time: now, Hook: hook, JobsInSystem: jobsInSystem, Elapsed: elapsed})
+	ObserverFunc(r.add).SchedulerInvoked(now, hook, jobsInSystem, elapsed)
 }
 
-// FanoutObserver forwards every callback to each member in order. It lets
-// callers combine an application observer with an adapter such as the
-// streaming channel bridge.
-type FanoutObserver []Observer
+// ObserverFunc adapts a function of one Event to an Observer: each
+// callback is flattened into the Event a Recorder would record and handed
+// to f. It is the way to write an observer that handles every transition
+// in one place (a channel bridge, a log line, a counter).
+type ObserverFunc func(Event)
 
 // JobSubmitted implements Observer.
-func (f FanoutObserver) JobSubmitted(now float64, jid int) {
-	for _, o := range f {
-		o.JobSubmitted(now, jid)
-	}
+func (f ObserverFunc) JobSubmitted(now float64, jid int) {
+	f(Event{Kind: EvSubmitted, Time: now, JID: jid})
 }
 
 // JobStarted implements Observer.
-func (f FanoutObserver) JobStarted(now float64, jid int, nodes []int) {
-	for _, o := range f {
-		o.JobStarted(now, jid, nodes)
-	}
+func (f ObserverFunc) JobStarted(now float64, jid int, nodes []int) {
+	f(Event{Kind: EvStarted, Time: now, JID: jid, Nodes: nodes})
 }
 
 // JobPreempted implements Observer.
-func (f FanoutObserver) JobPreempted(now float64, jid int) {
-	for _, o := range f {
-		o.JobPreempted(now, jid)
-	}
+func (f ObserverFunc) JobPreempted(now float64, jid int) {
+	f(Event{Kind: EvPreempted, Time: now, JID: jid})
 }
 
 // JobMigrated implements Observer.
-func (f FanoutObserver) JobMigrated(now float64, jid int, nodes []int) {
-	for _, o := range f {
-		o.JobMigrated(now, jid, nodes)
-	}
+func (f ObserverFunc) JobMigrated(now float64, jid int, nodes []int) {
+	f(Event{Kind: EvMigrated, Time: now, JID: jid, Nodes: nodes})
 }
 
 // JobCompleted implements Observer.
-func (f FanoutObserver) JobCompleted(now float64, jid int, turnaround float64) {
-	for _, o := range f {
-		o.JobCompleted(now, jid, turnaround)
-	}
+func (f ObserverFunc) JobCompleted(now float64, jid int, turnaround float64) {
+	f(Event{Kind: EvCompleted, Time: now, JID: jid, Turnaround: turnaround})
 }
 
 // SchedulerInvoked implements Observer.
-func (f FanoutObserver) SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration) {
-	for _, o := range f {
-		o.SchedulerInvoked(now, hook, jobsInSystem, elapsed)
+func (f ObserverFunc) SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration) {
+	f(Event{Kind: EvSchedulerInvoked, Time: now, Hook: hook, JobsInSystem: jobsInSystem, Elapsed: elapsed})
+}
+
+// Deliver is the inverse of ObserverFunc: it makes the callback on o that
+// e was flattened from, with the same arguments.
+func (e Event) Deliver(o Observer) {
+	switch e.Kind {
+	case EvSubmitted:
+		o.JobSubmitted(e.Time, e.JID)
+	case EvStarted:
+		o.JobStarted(e.Time, e.JID, e.Nodes)
+	case EvPreempted:
+		o.JobPreempted(e.Time, e.JID)
+	case EvMigrated:
+		o.JobMigrated(e.Time, e.JID, e.Nodes)
+	case EvCompleted:
+		o.JobCompleted(e.Time, e.JID, e.Turnaround)
+	case EvSchedulerInvoked:
+		o.SchedulerInvoked(e.Time, e.Hook, e.JobsInSystem, e.Elapsed)
 	}
+}
+
+// Fanout combines observers into one that forwards every callback to each
+// of them in order: nil for none, the observer itself for one.
+func Fanout(obs ...Observer) Observer {
+	switch len(obs) {
+	case 0:
+		return nil
+	case 1:
+		return obs[0]
+	}
+	return ObserverFunc(func(e Event) {
+		for _, o := range obs {
+			e.Deliver(o)
+		}
+	})
 }

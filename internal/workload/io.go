@@ -310,6 +310,9 @@ func (tr *TraceReader) applyMeta(line string) error {
 		if err != nil {
 			return fmt.Errorf("workload: line %d: bad nodes: %v", tr.lineno, err)
 		}
+		if v > cluster.MaxNodes {
+			return fmt.Errorf("workload: line %d: %d nodes, above the limit of %d", tr.lineno, v, cluster.MaxNodes)
+		}
 		tr.meta.Nodes = v
 	case strings.HasPrefix(meta, "nodemem_gb:"):
 		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(meta, "nodemem_gb:")), 64)

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 func encodeSample(t *testing.T, tr *Trace) []byte {
@@ -126,6 +128,24 @@ func TestStreamTraceHeaderErrors(t *testing.T) {
 	// A header without a nodes declaration is unusable for streaming.
 	if _, err := StreamTrace(strings.NewReader("id submit tasks cpu_need mem_req exec_time\n")); err == nil {
 		t.Error("nodeless header accepted")
+	}
+}
+
+// TestStreamTraceRejectsHugeNodeCount: a header declaring more than
+// cluster.MaxNodes nodes fails at the header line, naming the count, so a
+// daemon rejects the upload before laying out any cluster.
+func TestStreamTraceRejectsHugeNodeCount(t *testing.T) {
+	doc := "# nodes: 1000000000\nid submit tasks cpu_need mem_req exec_time\n0 1 1 0.5 0.5 10\n"
+	_, err := StreamTrace(strings.NewReader(doc))
+	if err == nil {
+		t.Fatal("a billion-node header accepted")
+	}
+	if !strings.Contains(err.Error(), "1000000000") || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("error %q does not name the count and line", err)
+	}
+	doc = fmt.Sprintf("# nodes: %d\nid submit tasks cpu_need mem_req exec_time\n", cluster.MaxNodes)
+	if tr, err := StreamTrace(strings.NewReader(doc)); err != nil || tr.Meta().Nodes != cluster.MaxNodes {
+		t.Errorf("header at the limit: %v", err)
 	}
 }
 

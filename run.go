@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/federation"
 	"repro/internal/metrics"
 	"repro/internal/metrics/online"
-	"repro/internal/placement"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -83,7 +81,7 @@ type runConfig struct {
 	check       bool
 	timeline    bool
 	maxSimTime  float64
-	observer    sim.Observer
+	observers   []sim.Observer
 	jobSink     func(JobResult)
 	targetLoad  float64
 	currentLoad float64
@@ -151,21 +149,13 @@ func WithMaxSimTime(seconds float64) RunOption {
 }
 
 // WithObserver attaches an observer that receives every scheduling
-// transition live. Multiple WithObserver options fan out in order.
-// Observation never changes results: an observed run produces the
-// identical Result as an unobserved one.
+// transition live. Multiple WithObserver options fan out in order; a nil
+// observer is ignored. Observation never changes results: an observed run
+// produces the identical Result as an unobserved one.
 func WithObserver(o Observer) RunOption {
 	return func(c *runConfig) {
-		switch {
-		case o == nil:
-		case c.observer == nil:
-			c.observer = o
-		default:
-			if f, ok := c.observer.(sim.FanoutObserver); ok {
-				c.observer = append(f, o)
-			} else {
-				c.observer = sim.FanoutObserver{c.observer, o}
-			}
+		if o != nil {
+			c.observers = append(c.observers, o)
 		}
 	}
 }
@@ -302,60 +292,30 @@ func runTrace(ctx context.Context, t *workload.Trace, dims int, source workload.
 			return Result{}, err
 		}
 	}
-	s, err := sched.New(algorithm)
-	if err != nil {
-		return Result{}, err
-	}
-	obj, err := placement.ByName(cfg.objective)
-	if err != nil {
-		return Result{}, err
-	}
-	cl, err := cluster.Profile(cfg.nodeMix, t.Nodes)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(cfg.resources) > 0 {
-		if len(cfg.resources) < 2 || cfg.resources[0] != "cpu" || cfg.resources[1] != "mem" {
-			return Result{}, fmt.Errorf("dfrs: resources must start with \"cpu\", \"mem\", got %v", cfg.resources)
-		}
-		// The names must agree with the node-mix profile's own dimensions
-		// where they overlap — WithDims only adds dimensions, so silently
-		// accepting e.g. "net" for a profile's "gpu" axis (with its own
-		// capacity layout) would break the documented "capacity 1.0 per
-		// added resource" contract.
-		if cl.D() > len(cfg.resources) {
-			return Result{}, fmt.Errorf("dfrs: node mix %q declares %d resource dimensions but WithResources names %d",
-				cfg.nodeMix, cl.D(), len(cfg.resources))
-		}
-		for k := 0; k < cl.D(); k++ {
-			if cl.DimName(k) != cfg.resources[k] {
-				return Result{}, fmt.Errorf("dfrs: node mix %q names dimension %d %q, WithResources names it %q",
-					cfg.nodeMix, k, cl.DimName(k), cfg.resources[k])
-			}
-		}
-		cl = cl.WithDims(len(cfg.resources), 1, cfg.resources)
-	}
-	// A trace demanding more dimensions than the cluster declares (GPU
-	// jobs on a two-resource mix) gets a unit capacity in the missing
-	// dimensions — the same rule the campaign engine applies. An explicit
-	// WithResources list is a declaration of the platform and disables the
-	// extension: demands beyond it are rejected by the simulator's eager
-	// checks rather than granted phantom capacity.
-	if len(cfg.resources) == 0 {
-		cl = cl.ExtendUnit(dims)
-	}
-	simulator, err := sim.New(sim.Config{
+	simCfg := sim.Config{
 		Trace:           t,
 		Source:          source,
 		JobSink:         cfg.jobSink,
-		Cluster:         cl,
 		Penalty:         cfg.penalty,
 		CheckInvariants: cfg.check,
 		RecordTimeline:  cfg.timeline,
 		MaxSimTime:      cfg.maxSimTime,
-		Observer:        cfg.observer,
-		Objective:       obj,
-	}, s)
+		Observer:        sim.Fanout(cfg.observers...),
+	}
+	// An explicit WithResources list is a declaration of the platform: the
+	// cluster is laid out here and not extended, so demands beyond it are
+	// rejected by the simulator's eager checks rather than granted phantom
+	// capacity. Otherwise the assembly extends the mix with unit capacity
+	// to the trace's dimensions (GPU jobs on a two-resource mix) — the same
+	// rule the campaign engine applies.
+	if len(cfg.resources) > 0 {
+		cl, err := declaredCluster(cfg.nodeMix, t.Nodes, cfg.resources)
+		if err != nil {
+			return Result{}, err
+		}
+		simCfg.Cluster = cl
+	}
+	simulator, _, err := federation.NewSimulator(algorithm, cfg.objective, cfg.nodeMix, dims, simCfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -367,6 +327,34 @@ func runTrace(ctx context.Context, t *workload.Trace, dims int, source workload.
 		return Result{}, err
 	}
 	return Result{r: res}, nil
+}
+
+// declaredCluster lays out the node mix over n nodes with the resource
+// dimensions a WithResources list names.
+func declaredCluster(mix string, n int, resources []string) (*cluster.Cluster, error) {
+	cl, err := cluster.Profile(mix, n)
+	if err != nil {
+		return nil, err
+	}
+	if len(resources) < 2 || resources[0] != "cpu" || resources[1] != "mem" {
+		return nil, fmt.Errorf("dfrs: resources must start with \"cpu\", \"mem\", got %v", resources)
+	}
+	// The names must agree with the node-mix profile's own dimensions
+	// where they overlap — WithDims only adds dimensions, so silently
+	// accepting e.g. "net" for a profile's "gpu" axis (with its own
+	// capacity layout) would break the documented "capacity 1.0 per
+	// added resource" contract.
+	if cl.D() > len(resources) {
+		return nil, fmt.Errorf("dfrs: node mix %q declares %d resource dimensions but WithResources names %d",
+			mix, cl.D(), len(resources))
+	}
+	for k := 0; k < cl.D(); k++ {
+		if cl.DimName(k) != resources[k] {
+			return nil, fmt.Errorf("dfrs: node mix %q names dimension %d %q, WithResources names it %q",
+				mix, k, cl.DimName(k), resources[k])
+		}
+	}
+	return cl.WithDims(len(resources), 1, resources), nil
 }
 
 // rescaleToTarget applies WithTargetLoad: materialized traces rescale
@@ -426,7 +414,7 @@ func Stream(ctx context.Context, t Trace, algorithm string, opts ...RunOption) (
 	go func() {
 		defer close(done)
 		defer close(ch)
-		res, err = Run(ctx, t, algorithm, append(opts, WithObserver(bridge))...)
+		res, err = Run(ctx, t, algorithm, append(opts, WithObserver(sim.ObserverFunc(bridge.send)))...)
 	}()
 	wait := func() (Result, error) {
 		bridge.abandon() // unblock the producer if the consumer stopped reading
@@ -436,9 +424,9 @@ func Stream(ctx context.Context, t Trace, algorithm string, opts ...RunOption) (
 	return ch, wait
 }
 
-// chanObserver bridges observer callbacks onto an event channel. After
-// abandon, events are discarded so the simulation can finish even when the
-// consumer stopped reading.
+// chanObserver hands Stream's events to its channel (send runs as a
+// sim.ObserverFunc). After abandon, events are discarded so the simulation
+// can finish even when the consumer stopped reading.
 type chanObserver struct {
 	ch        chan Event
 	abandoned chan struct{}
@@ -454,36 +442,6 @@ func (c *chanObserver) send(e Event) {
 	case c.ch <- e:
 	case <-c.abandoned:
 	}
-}
-
-// JobSubmitted implements Observer.
-func (c *chanObserver) JobSubmitted(now float64, jid int) {
-	c.send(Event{Kind: EvSubmitted, Time: now, JID: jid})
-}
-
-// JobStarted implements Observer.
-func (c *chanObserver) JobStarted(now float64, jid int, nodes []int) {
-	c.send(Event{Kind: EvStarted, Time: now, JID: jid, Nodes: nodes})
-}
-
-// JobPreempted implements Observer.
-func (c *chanObserver) JobPreempted(now float64, jid int) {
-	c.send(Event{Kind: EvPreempted, Time: now, JID: jid})
-}
-
-// JobMigrated implements Observer.
-func (c *chanObserver) JobMigrated(now float64, jid int, nodes []int) {
-	c.send(Event{Kind: EvMigrated, Time: now, JID: jid, Nodes: nodes})
-}
-
-// JobCompleted implements Observer.
-func (c *chanObserver) JobCompleted(now float64, jid int, turnaround float64) {
-	c.send(Event{Kind: EvCompleted, Time: now, JID: jid, Turnaround: turnaround})
-}
-
-// SchedulerInvoked implements Observer.
-func (c *chanObserver) SchedulerInvoked(now float64, hook string, jobsInSystem int, elapsed time.Duration) {
-	c.send(Event{Kind: EvSchedulerInvoked, Time: now, Hook: hook, JobsInSystem: jobsInSystem, Elapsed: elapsed})
 }
 
 // Algorithm returns the algorithm that produced this result.
