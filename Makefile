@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is what the repository considers green.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-module profile-mcb fuzz ci
+.PHONY: all build vet fmt test race bench bench-module profile-mcb profile-fed fuzz ci
 
 all: build
 
@@ -18,29 +18,42 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
-# CPU profile of one BenchmarkTableI iteration, written under PROFILE_DIR,
-# then the share of samples in the DYNMCB8 scheduler (mcb), the allocator
-# (core), the packer (vectorpack), the event engine (sim) and its node index
-# (sim/index): flat is time in the package's own code, cum the largest
-# cumulative share of one of its functions.
+# CPU profiles of one benchmark iteration, written under PROFILE_DIR, then
+# the share of samples per layer: flat is time in the package's own code,
+# cum the largest cumulative share of one of its functions. layer_table
+# prints that table for test binary $(1), profile $(2) and packages $(3).
 PROFILE_DIR ?= /tmp
-profile-mcb:
-	$(GO) test -run '^$$' -bench '^BenchmarkTableI$$' -benchtime 1x -o $(PROFILE_DIR)/dfrs-tablei.test -cpuprofile $(PROFILE_DIR)/dfrs-tablei.prof .
-	@$(GO) tool pprof -top -nodecount=1000000 $(PROFILE_DIR)/dfrs-tablei.test $(PROFILE_DIR)/dfrs-tablei.prof 2>/dev/null | awk '\
-		$$6 ~ /^repro\/internal\/(sched\/mcb|core|vectorpack|sim|sim\/index)\./ { \
-			pkg = $$6; sub(/\..*/, "", pkg); f = $$2; c = $$5; sub(/%/, "", f); sub(/%/, "", c); \
+MCB_LAYERS := repro/internal/sched/mcb repro/internal/core repro/internal/vectorpack repro/internal/sim repro/internal/sim/index
+layer_table = $(GO) tool pprof -top -nodecount=1000000 $(1) $(2) 2>/dev/null | awk -v layers='$(3)' '\
+		BEGIN { n = split(layers, p, " "); for (i = 1; i <= n; i++) want[p[i]] = 1 } \
+		{ pkg = $$6; sub(/\..*/, "", pkg) } \
+		pkg in want { f = $$2; c = $$5; sub(/%/, "", f); sub(/%/, "", c); \
 			flat[pkg] += f; if (c + 0 > cum[pkg]) cum[pkg] = c + 0 } \
 		END { printf "%-28s %7s %7s\n", "layer", "flat%", "cum%"; \
-			n = split("repro/internal/sched/mcb repro/internal/core repro/internal/vectorpack repro/internal/sim repro/internal/sim/index", p, " "); \
 			for (i = 1; i <= n; i++) printf "%-28s %6.1f%% %6.1f%%\n", p[i], flat[p[i]], cum[p[i]] }'
 
-# Short fuzz sessions over the three input parsers, one after another: the
-# SWF loader and the two dfrs-serve submission parsers (topology spec,
-# campaign grid). Their seed corpora also run as normal tests in `make test`.
+# BenchmarkTableI: the DYNMCB8 scheduler (mcb), the allocator (core), the
+# packer (vectorpack), the event engine (sim) and its node index (sim/index).
+profile-mcb:
+	$(GO) test -run '^$$' -bench '^BenchmarkTableI$$' -benchtime 1x -o $(PROFILE_DIR)/dfrs-tablei.test -cpuprofile $(PROFILE_DIR)/dfrs-tablei.prof .
+	@$(call layer_table,$(PROFILE_DIR)/dfrs-tablei.test,$(PROFILE_DIR)/dfrs-tablei.prof,$(MCB_LAYERS))
+
+# The federation's round-robin leg: 8 members of 64 nodes running
+# dynmcb8-asap-per, advanced inline (workers=1), 20 iterations for enough
+# samples; the same layers plus the federation loop.
+profile-fed:
+	$(GO) test -run '^$$' -bench '^BenchmarkFederationParallel$$/^members=8$$/^workers=1$$' -benchtime 20x -o $(PROFILE_DIR)/dfrs-fed.test -cpuprofile $(PROFILE_DIR)/dfrs-fed.prof .
+	@$(call layer_table,$(PROFILE_DIR)/dfrs-fed.test,$(PROFILE_DIR)/dfrs-fed.prof,$(MCB_LAYERS) repro/internal/federation)
+
+# Short fuzz sessions over the four input parsers, one after another: the
+# SWF loader and the three dfrs-serve submission parsers (topology spec,
+# campaign grid, uploaded trace). Their seed corpora also run as normal
+# tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/swf/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s ./internal/federation/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamTrace$$' -fuzztime 10s ./internal/workload/
 
 # The blocking steps of .github/workflows/ci.yml, in the same order.
 ci: build vet fmt test race bench-module

@@ -23,11 +23,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/federation"
+	"repro/internal/hpc2n"
 	"repro/internal/placement"
 )
 
@@ -41,6 +43,10 @@ const (
 	// the model, so grid Nodes values are ignored for this family.
 	FamilyHPC2N = "hpc2n"
 )
+
+// defaultNodes is the cluster size of lublin cells when the grid's Nodes
+// axis is empty: the paper's 128-node platform.
+const defaultNodes = 128
 
 // Size limits of a grid. A grid is untrusted input (dfrs-serve takes it
 // over HTTP) and is expanded, then run, in memory, so every size it names
@@ -334,11 +340,17 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("campaign: unknown placement objective %q (known: %v)", obj, placement.Names())
 		}
 	}
-	for _, topo := range g.Topologies {
-		// Parsed with placeholder defaults: validation is about syntax
-		// and mix names; actual node counts come from each cell.
-		if _, err := federation.ParseTopology(topo, 1, ""); err != nil {
-			return err
+	if len(g.Topologies) > 0 {
+		// A bare member count ("4") and members without a count take the
+		// cell's cluster size. ParseTopology's checks only tighten as that
+		// size grows (member and total node counts rise with it), so a
+		// topology that parses at the largest size a cell can get parses
+		// at every one, and one parse per topology decides.
+		n := g.maxCellNodes()
+		for _, topo := range g.Topologies {
+			if _, err := federation.ParseTopology(topo, n, ""); err != nil {
+				return fmt.Errorf("campaign: topology %q on %d-node cells: %w", topo, n, err)
+			}
 		}
 	}
 	for _, disp := range g.Dispatchers {
@@ -359,6 +371,24 @@ func (g *Grid) Validate() error {
 		return fmt.Errorf("campaign: grid %q expands to up to %d cells, above the limit of %d", g.Name, n, MaxCells)
 	}
 	return nil
+}
+
+// maxCellNodes returns the largest cluster size a cell of g can get: the
+// Nodes axis (defaultNodes when empty) for lublin families, hpc2n.Nodes
+// for hpc2n ones.
+func (g *Grid) maxCellNodes() int {
+	n := 0
+	for _, f := range g.Families {
+		switch {
+		case f.Kind == FamilyHPC2N:
+			n = max(n, hpc2n.Nodes)
+		case len(g.Nodes) == 0:
+			n = max(n, defaultNodes)
+		default:
+			n = max(n, slices.Max(g.Nodes))
+		}
+	}
+	return n
 }
 
 // cellBound bounds len(g.Cells()) from above without expanding the grid:
@@ -419,7 +449,7 @@ func (g *Grid) Cells() []Cell {
 	}
 	nodes := g.Nodes
 	if len(nodes) == 0 {
-		nodes = []int{128}
+		nodes = []int{defaultNodes}
 	}
 	mixes := make([]string, 0, len(g.NodeMixes))
 	for _, mix := range g.NodeMixes {

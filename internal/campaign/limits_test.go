@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/hpc2n"
 )
 
 // TestGridValidateRejectsHugeSizes: a cluster size, a trace length or a
@@ -94,6 +96,49 @@ func TestCellBoundCoversCells(t *testing.T) {
 		}
 		if n, bound := len(g.Cells()), g.cellBound(); n > bound || n == 0 {
 			t.Errorf("grid %d: %d cells, bound %d", i, n, bound)
+		}
+	}
+}
+
+// TestGridValidateChecksTopologyAtCellSizes: a topology is checked against
+// the cluster sizes its cells get — the Nodes axis, 128 when that axis is
+// empty, and the HPC2N model's own size for hpc2n families — on both sides
+// of cluster.MaxNodes, so a grid whose cells would all fail at run time is
+// rejected up front, naming the topology and the size.
+func TestGridValidateChecksTopologyAtCellSizes(t *testing.T) {
+	lublin := []Family{{Kind: FamilyLublin, Count: 1}}
+	hpc := []Family{{Kind: FamilyHPC2N, Count: 1}}
+	// members bare members next to one explicit member of rest nodes.
+	topo := func(rest, members int) string {
+		return fmt.Sprintf("uniform:%d", rest) + strings.Repeat("+uniform", members)
+	}
+	for _, tc := range []struct {
+		name     string
+		families []Family
+		nodes    []int
+		topology string
+		reject   int // the cell size the error names; 0 for a valid grid
+	}{
+		{"bare count at the limit", lublin, []int{1024}, "1024", 0},
+		{"bare count above the limit", lublin, []int{2048}, "1024", 2048},
+		{"bare count one node above", lublin, []int{1025}, "1024", 1025},
+		{"largest size decides", lublin, []int{64, 2048, 16}, "1024", 2048},
+		{"default size at the limit", lublin, nil, topo(cluster.MaxNodes-128, 1), 0},
+		{"default size above the limit", lublin, nil, topo(cluster.MaxNodes-127, 1), 128},
+		{"hpc2n size at the limit", hpc, []int{2048}, topo(cluster.MaxNodes-2*hpc2n.Nodes, 2), 0},
+		{"hpc2n size above the limit", hpc, []int{64}, topo(cluster.MaxNodes-2*hpc2n.Nodes+1, 2), hpc2n.Nodes},
+		{"both families", append(lublin, hpc...), []int{64}, topo(cluster.MaxNodes-2*hpc2n.Nodes+1, 2), hpc2n.Nodes},
+	} {
+		g := Grid{Name: "topo", Algorithms: []string{"easy"}, Families: tc.families, Nodes: tc.nodes, Topologies: []string{tc.topology}}
+		err := g.Validate()
+		switch {
+		case tc.reject == 0 && err != nil:
+			t.Errorf("%s: valid grid rejected: %v", tc.name, err)
+		case tc.reject != 0 && err == nil:
+			t.Errorf("%s: grid accepted", tc.name)
+		case tc.reject != 0 && (!strings.Contains(err.Error(), fmt.Sprintf("%q", tc.topology)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("%d-node", tc.reject))):
+			t.Errorf("%s: error %q does not name the topology and %d nodes", tc.name, err, tc.reject)
 		}
 	}
 }

@@ -59,6 +59,30 @@ func AggregateCaps(dst []float64, c *cluster.Cluster) []float64 {
 	return dst
 }
 
+// capsCache is AggregateCaps memoized on the identity of the cluster's node
+// slice (its first element and length, the key vectorpack.RepackState
+// uses for its normalization), so a caller rebinding the same cluster at
+// every event sums the capacities once. Clusters are not mutated once
+// built, and the sums are AggregateCaps's own, so they are bit-identical.
+type capsCache struct {
+	caps  []float64
+	first *cluster.NodeSpec
+	n     int
+}
+
+// of returns c's aggregate capacities, owned by the cache.
+func (cc *capsCache) of(c *cluster.Cluster) []float64 {
+	var first *cluster.NodeSpec
+	if len(c.Nodes) > 0 {
+		first = &c.Nodes[0]
+	}
+	if first == nil || first != cc.first || len(c.Nodes) != cc.n {
+		cc.caps = AggregateCaps(cc.caps, c)
+		cc.first, cc.n = first, len(c.Nodes)
+	}
+	return cc.caps
+}
+
 // ShedBound evaluates the allocators' rigid-dimension capacity bound along
 // a shed chain: a job set from which jobs are dropped one at a time, as
 // DYNMCB8 does on memory-bound instances. Every set the bound rules out
@@ -73,6 +97,7 @@ func AggregateCaps(dst []float64, c *cluster.Cluster) []float64 {
 // The zero value is ready; reuse it across chains.
 type ShedBound struct {
 	caps   []float64
+	agg    capsCache
 	totals []float64 // running rigid sums of the current set
 	margin []float64 // per-dimension bound on |totals - item-order sum|
 	exact  []float64 // item-order re-sum scratch
@@ -83,7 +108,7 @@ type ShedBound struct {
 // Reset starts a chain at the full job set jobs, in the allocator's job
 // order, on cluster c.
 func (b *ShedBound) Reset(jobs []JobSpec, c *cluster.Cluster) {
-	b.caps = AggregateCaps(b.caps, c)
+	b.caps = b.agg.of(c)
 	b.totals = zeroed(b.totals, len(b.caps))
 	items := 0
 	for ji := range jobs {

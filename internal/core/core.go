@@ -18,6 +18,15 @@
 //   - the allocators' rigid-dimension capacity bound, which the DYNMCB8
 //     shed loop evaluates along its removal chain (ShedBound) to skip job
 //     sets the allocators would reject before packing.
+//
+// A Workspace answers a MaxMinYield call that repeats its previous call's
+// instance — same cluster, packer and jobs — from that call's outcome
+// instead of searching again. The periodic DYNMCB8 variants repack every
+// job at every tick, and on a lightly loaded cluster most ticks see the job
+// set of the tick before. The reuse is exact: the search is a
+// deterministic function of the instance, because the warm-started packer
+// returns what a cold pack would, and the winning probe's assignment is
+// still in the workspace.
 package core
 
 import (
@@ -71,22 +80,18 @@ func (j JobSpec) effectiveWeight() float64 {
 // quantity the average-yield heuristic sorts by.
 func (j JobSpec) TotalCPUNeed() float64 { return float64(j.Tasks) * j.CPUNeed }
 
-// Allocation maps every job to the nodes hosting its tasks and the common
-// yield of those tasks.
+// Allocation gives every job the nodes hosting its tasks and the common
+// yield of those tasks. It is indexed like the job slice it was computed
+// for: entry i belongs to jobs[i].
 type Allocation struct {
-	// NodesOf[jobID][k] is the node hosting task k. A node may host
+	// Nodes[i][k] is the node hosting task k of job i. A node may host
 	// several tasks of the same job.
-	NodesOf map[int][]int
-	// YieldOf[jobID] is the job's yield in [0, 1].
-	YieldOf map[int]float64
+	Nodes [][]int
+	// Yields[i] is job i's yield in [0, 1].
+	Yields []float64
 	// MinYield is the smallest yield across jobs (0 for an empty
 	// allocation).
 	MinYield float64
-}
-
-// NewAllocation returns an empty allocation.
-func NewAllocation() *Allocation {
-	return &Allocation{NodesOf: map[int][]int{}, YieldOf: map[int]float64{}}
 }
 
 // Priority returns the preemption priority of a job: max(30, flowTime)
@@ -126,12 +131,12 @@ type packProbe struct {
 	isMCB   bool
 	d       int
 	its     []vectorpack.Item
-	owner   []int // item index -> index into jobs
 	backing []float64
 	yields  []float64 // per-job yield of the current probe
-	// caps caches the cluster's aggregate capacity per dimension for the
-	// capacity bound, computed once per allocator call.
+	// caps is the cluster's aggregate capacity per dimension for the
+	// capacity bound, summed once per node set.
 	caps []float64
+	agg  capsCache
 	// rigidTotals caches the per-dimension demand sums for dimensions >= 1,
 	// which are invariant across the probes of one instance (only the CPU
 	// dimension changes with the yields). Accumulated in item order by
@@ -141,18 +146,45 @@ type packProbe struct {
 	repack      vectorpack.RepackState // warm-start state for the MCB path
 	best        []int                  // assignment of the last feasible probe
 
-	alloc     *Allocation // reused result object, rebuilt by allocation()
-	nodesBack []int       // flat backing for the per-job node lists
-	prevTasks []int       // task counts of the instance the items were built for
+	alloc Allocation // reused result object, rebuilt by allocation()
+	prev  []jobKey   // the instance of the previous reset, job by job
+}
+
+// jobKey is what the probe remembers of one job of the instance it is
+// bound to, besides the rigid requirements held in its backing array.
+type jobKey struct {
+	id, tasks   int
+	cpu, weight float64
 }
 
 // Workspace carries the scratch buffers of the packing allocators across
 // calls, so a scheduler invoking MaxMinYield or MinEstimatedStretch on
 // every event reuses one set of allocations for the lifetime of a run. The
 // zero value is ready; a workspace must not be used concurrently.
+//
+// A workspace also remembers the outcome of its last MaxMinYield call.
+// When the next call passes the same instance — the same cluster, an
+// interchangeable packer and, job for job, the same ID, task count, CPU
+// need, rigid requirements (memory, Extra) and weight — it returns that
+// outcome without probing: the failure again, or the winning base yield
+// with the assignment of the winning probe, which no call has overwritten
+// since. This is exact (see the package doc). MinEstimatedStretch depends
+// on the clock through flow and virtual times, so it always probes, and it
+// drops the remembered outcome. Only one outcome is kept.
 type Workspace struct {
 	probe packProbe
 	specs []JobSpec
+	last  lastSolve
+	// Reuses counts the MaxMinYield calls answered from the previous
+	// call's outcome.
+	Reuses int
+}
+
+// lastSolve is the outcome of a workspace's previous MaxMinYield call,
+// valid while the probe still holds that call's instance and assignment.
+type lastSolve struct {
+	valid, ok bool
+	y         float64 // the winning base yield
 }
 
 // samePacker reports whether two packer values are interchangeable for
@@ -170,21 +202,30 @@ func samePacker(a, b vectorpack.Packer) bool {
 	return a == b
 }
 
-// reset rebinds the probe to a new instance, reusing every buffer. When the
-// new instance has the same shape as the previous one — same dimension
-// count and, job for job, the same task count and rigid requirements — the
-// item array and its backing are reused as-is: pack rewrites the CPU
-// dimension on every probe anyway, so only the rigid dimensions (already
-// equal) carry over. Successive repacks of a mostly-stable job set hit this
-// path, which skips the write-barrier-heavy item rebuild.
-func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) {
+// reset rebinds the probe to a new instance, reusing every buffer, and
+// reports whether the instance is the one the previous reset bound: the
+// same cluster, an interchangeable packer and, job for job, the same ID,
+// task count, CPU need, rigid requirements and weight. The comparison runs
+// against the probe's own copies, so a caller editing a job's Extra in
+// place is seen.
+//
+// When the new instance merely has the same shape as the previous one —
+// same dimension count and, job for job, the same task count and rigid
+// requirements — the item array and its backing are reused as-is: pack
+// rewrites the CPU dimension on every probe anyway, so only the rigid
+// dimensions (already equal) carry over. Successive repacks of a
+// mostly-stable job set hit this path, which skips the write-barrier-heavy
+// item rebuild.
+func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) (repeat bool) {
 	d := c.D()
-	same := d == p.d && len(jobs) == len(p.prevTasks) && len(p.backing) == len(jobs)*d
+	same := d == p.d && len(jobs) == len(p.prev) && len(p.backing) == len(jobs)*d
+	samePk := samePacker(packer, p.packer)
+	repeat = c == p.c && samePk
 	if same {
 	compare:
 		for ji := range jobs {
-			j := &jobs[ji]
-			if p.prevTasks[ji] != j.Tasks {
+			j, prev := &jobs[ji], &p.prev[ji]
+			if prev.tasks != j.Tasks {
 				same = false
 				break
 			}
@@ -194,9 +235,13 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 					break compare
 				}
 			}
+			if prev.id != j.ID || prev.cpu != j.CPUNeed || prev.weight != j.Weight {
+				repeat = false
+			}
 		}
 	}
-	if !samePacker(packer, p.packer) {
+	repeat = repeat && same
+	if !samePk {
 		// The warm-start replay is only valid for the packer configuration
 		// that produced it (the sorted orders are packer-independent, but
 		// the exact-repeat fast path replays a full prior assignment).
@@ -207,9 +252,17 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	if m, ok := packer.(vectorpack.MCB8); ok {
 		p.mcb, p.isMCB = m, true
 	}
-	p.caps = AggregateCaps(p.caps, c)
+	p.caps = p.agg.of(c)
+	if repeat {
+		return true
+	}
+	p.prev = slices.Grow(p.prev[:0], len(jobs))[:len(jobs)]
+	for ji := range jobs {
+		j := &jobs[ji]
+		p.prev[ji] = jobKey{id: j.ID, tasks: j.Tasks, cpu: j.CPUNeed, weight: j.Weight}
+	}
 	if same {
-		return
+		return false
 	}
 	nItems := 0
 	for ji := range jobs {
@@ -218,7 +271,6 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	// The item arrays grow geometrically: the task count creeps up event
 	// by event, and exact-size reallocation would copy them on every step.
 	p.its = slices.Grow(p.its[:0], nItems)[:nItems]
-	p.owner = slices.Grow(p.owner[:0], nItems)[:nItems]
 	if cap(p.backing) < len(jobs)*d {
 		p.backing = make([]float64, len(jobs)*d)
 	}
@@ -227,14 +279,9 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 		p.yields = make([]float64, len(jobs))
 	}
 	p.yields = p.yields[:len(jobs)]
-	if cap(p.prevTasks) < len(jobs) {
-		p.prevTasks = make([]int, len(jobs))
-	}
-	p.prevTasks = p.prevTasks[:len(jobs)]
 	idx := 0
 	for ji := range jobs {
 		j := &jobs[ji]
-		p.prevTasks[ji] = j.Tasks
 		req := cluster.Vec(p.backing[ji*d : (ji+1)*d : (ji+1)*d])
 		req[cluster.DimCPU] = 0
 		for k := cluster.DimMem; k < d; k++ {
@@ -248,11 +295,11 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 			if it := &p.its[idx]; len(it.Req) != d || &it.Req[0] != &req[0] {
 				it.Req = req
 			}
-			p.owner[idx] = ji
 			idx++
 		}
 	}
 	p.refreshRigidTotals()
+	return false
 }
 
 // refreshRigidTotals recomputes the cached demand sums of the rigid
@@ -306,35 +353,25 @@ func (p *packProbe) pack() bool {
 }
 
 // allocation converts the best assignment back to per-job node lists at the
-// current per-job yields. The returned Allocation and its node lists are
-// owned by the probe and overwritten by the next allocator call on the same
-// workspace.
+// current per-job yields. A job's items are consecutive, so its node list
+// is its run of the assignment. The returned Allocation is owned by the
+// probe and overwritten by the next allocator call on the same workspace;
+// its node lists are views of the probe's assignment and must not be
+// modified.
 func (p *packProbe) allocation() *Allocation {
-	if p.alloc == nil {
-		p.alloc = NewAllocation()
-	}
-	alloc := p.alloc
-	clear(alloc.NodesOf)
-	clear(alloc.YieldOf)
+	alloc := &p.alloc
+	n := len(p.jobs)
+	alloc.Nodes = slices.Grow(alloc.Nodes[:0], n)[:n]
+	alloc.Yields = append(alloc.Yields[:0], p.yields...)
 	alloc.MinYield = 0
-	p.nodesBack = slices.Grow(p.nodesBack[:0], len(p.its))
 	off := 0
 	for ji := range p.jobs {
-		j := &p.jobs[ji]
-		alloc.NodesOf[j.ID] = p.nodesBack[off : off : off+j.Tasks]
-		off += j.Tasks
-		y := p.yields[ji]
-		alloc.YieldOf[j.ID] = y
-		if alloc.MinYield == 0 || y < alloc.MinYield {
+		tasks := p.jobs[ji].Tasks
+		alloc.Nodes[ji] = p.best[off : off+tasks : off+tasks]
+		off += tasks
+		if y := alloc.Yields[ji]; alloc.MinYield == 0 || y < alloc.MinYield {
 			alloc.MinYield = y
 		}
-	}
-	for item, node := range p.best {
-		id := p.jobs[p.owner[item]].ID
-		alloc.NodesOf[id] = append(alloc.NodesOf[id], node)
-	}
-	if len(p.jobs) == 0 {
-		alloc.MinYield = 0
 	}
 	return alloc
 }
@@ -353,30 +390,42 @@ func MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) (
 }
 
 // MaxMinYield is the workspace-backed form of the package-level function;
-// repeated calls reuse the workspace's buffers.
+// repeated calls reuse the workspace's buffers, and a call repeating the
+// previous call's instance reuses its outcome (see Workspace).
 func (w *Workspace) MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) (*Allocation, bool) {
 	if len(jobs) == 0 {
-		return NewAllocation(), true
+		return &Allocation{}, true
 	}
 	p := &w.probe
-	p.reset(jobs, c, packer)
+	if p.reset(jobs, c, packer) && w.last.valid {
+		w.Reuses++
+	} else {
+		ok, y := p.maxMinYield()
+		w.last = lastSolve{valid: true, ok: ok, y: y}
+	}
+	if !w.last.ok {
+		return nil, false
+	}
+	// Restore the winning probe's yields (the last probe may have failed)
+	// before converting its saved assignment.
+	p.setBaseYield(w.last.y)
+	return p.allocation(), true
+}
+
+// maxMinYield runs MaxMinYield's search on the bound instance. It returns
+// the winning base yield, whose assignment the probe then holds in best,
+// or ok=false when even Y = 0 is infeasible.
+func (p *packProbe) maxMinYield() (ok bool, bestY float64) {
 	feasible := func(y float64) bool {
-		for ji := range jobs {
-			w := y * jobs[ji].effectiveWeight()
-			if w > 1 {
-				w = 1
-			}
-			p.yields[ji] = w
-		}
+		p.setBaseYield(y)
 		return p.pack()
 	}
 	// Memory-only feasibility first: with Y = 0 CPU vanishes.
 	if !feasible(0) {
-		return nil, false
+		return false, 0
 	}
-	bestY := 0.0
 	if feasible(1) {
-		return p.allocation(), true
+		return true, 1
 	}
 	lo, hi := 0.0, 1.0
 	for hi-lo > YieldAccuracy {
@@ -399,16 +448,18 @@ func (w *Workspace) MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vecto
 			hi = mid
 		}
 	}
-	// Restore the winning probe's yields (the last probe may have failed)
-	// before converting its saved assignment.
-	for ji := range jobs {
-		w := bestY * jobs[ji].effectiveWeight()
+	return true, bestY
+}
+
+// setBaseYield sets every job's probe yield to min(1, weight*y).
+func (p *packProbe) setBaseYield(y float64) {
+	for ji := range p.jobs {
+		w := y * p.jobs[ji].effectiveWeight()
 		if w > 1 {
 			w = 1
 		}
 		p.yields[ji] = w
 	}
-	return p.allocation(), true
 }
 
 // ImproveAverageYield implements the average-yield improvement heuristic of
@@ -418,9 +469,10 @@ func (w *Workspace) MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vecto
 // decreased. The allocation is modified in place; headroom is measured
 // against each hosting node's own CPU capacity.
 //
-// jobs must list every job of the allocation — node usage is computed from
-// all of them. eligible, when non-nil, restricts which jobs may be raised
-// (the fairness extension excludes long-running jobs); nil means all.
+// jobs must be the job slice the allocation is indexed by — node usage is
+// computed from all of them. eligible, when non-nil, restricts which jobs
+// may be raised (the fairness extension excludes long-running jobs); nil
+// means all.
 func ImproveAverageYield(jobs []JobSpec, alloc *Allocation, c *cluster.Cluster, eligible func(JobSpec) bool) {
 	ImproveAverageYieldRanked(jobs, alloc, c, eligible, nil)
 }
@@ -489,8 +541,8 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 	off[0] = 0
 	for ji := range jobs {
 		j := &jobs[ji]
-		y := alloc.YieldOf[j.ID]
-		for _, node := range alloc.NodesOf[j.ID] {
+		y := alloc.Yields[ji]
+		for _, node := range alloc.Nodes[ji] {
 			if k := at[node]; k > 0 {
 				pairs[k-1].cnt++
 			} else {
@@ -551,7 +603,7 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 			if eligible != nil && !eligible(*j) {
 				continue
 			}
-			y := alloc.YieldOf[j.ID]
+			y := alloc.Yields[ji]
 			if floats.GreaterEq(y, 1) {
 				continue
 			}
@@ -575,7 +627,7 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 			if !floats.Greater(delta, 0) {
 				continue
 			}
-			alloc.YieldOf[j.ID] = y + delta
+			alloc.Yields[ji] = y + delta
 			for _, nc := range pairs[off[ji]:off[ji+1]] {
 				used[nc.node] += j.CPUNeed * float64(nc.cnt) * delta
 			}
@@ -648,8 +700,11 @@ func MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster, packer vectorp
 // MinEstimatedStretch is the workspace-backed form of the package-level
 // function; repeated calls reuse the workspace's buffers.
 func (w *Workspace) MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster, packer vectorpack.Packer, T float64) (*Allocation, bool) {
+	// The probes below overwrite the assignment a repeated MaxMinYield
+	// would reuse.
+	w.last.valid = false
 	if len(jobs) == 0 {
-		return NewAllocation(), true
+		return &Allocation{}, true
 	}
 	if cap(w.specs) < len(jobs) {
 		w.specs = make([]JobSpec, len(jobs))
@@ -707,20 +762,21 @@ func (w *Workspace) MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster,
 // Section II-B1, generalized to per-node capacity vectors: each node's
 // allocated CPU and every rigid dimension (memory, GPU, ...) stay within
 // its own capacity, yields lie within [0, 1], and every job owns exactly
-// Tasks placements.
+// Tasks placements. alloc must be indexed like jobs.
 func ValidateAllocation(jobs []JobSpec, alloc *Allocation, c *cluster.Cluster) error {
 	n := c.N()
 	d := c.D()
+	if len(alloc.Nodes) != len(jobs) || len(alloc.Yields) != len(jobs) {
+		return fmt.Errorf("core: allocation has %d node lists and %d yields for %d jobs",
+			len(alloc.Nodes), len(alloc.Yields), len(jobs))
+	}
 	used := make([]float64, n*d)
-	for _, j := range jobs {
-		nodes, ok := alloc.NodesOf[j.ID]
-		if !ok {
-			return fmt.Errorf("core: job %d missing from allocation", j.ID)
-		}
+	for ji, j := range jobs {
+		nodes := alloc.Nodes[ji]
 		if len(nodes) != j.Tasks {
 			return fmt.Errorf("core: job %d has %d placements for %d tasks", j.ID, len(nodes), j.Tasks)
 		}
-		y := alloc.YieldOf[j.ID]
+		y := alloc.Yields[ji]
 		if y < 0 || floats.Greater(y, 1) {
 			return fmt.Errorf("core: job %d yield %g outside [0,1]", j.ID, y)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,11 +61,11 @@ func TestMaxMinYieldSingleJob(t *testing.T) {
 	if !ok {
 		t.Fatal("feasible instance failed")
 	}
-	if alloc.YieldOf[0] != 1 {
-		t.Errorf("yield = %v, want 1", alloc.YieldOf[0])
+	if alloc.Yields[0] != 1 {
+		t.Errorf("yield = %v, want 1", alloc.Yields[0])
 	}
-	if len(alloc.NodesOf[0]) != 2 {
-		t.Errorf("placements = %v", alloc.NodesOf[0])
+	if len(alloc.Nodes[0]) != 2 {
+		t.Errorf("placements = %v", alloc.Nodes[0])
 	}
 }
 
@@ -99,7 +100,7 @@ func TestMaxMinYieldMemoryInfeasible(t *testing.T) {
 
 func TestMaxMinYieldEmpty(t *testing.T) {
 	alloc, ok := MaxMinYield(nil, nodes(4), vectorpack.MCB8{})
-	if !ok || alloc.MinYield != 0 || len(alloc.NodesOf) != 0 {
+	if !ok || alloc.MinYield != 0 || len(alloc.Nodes) != 0 {
 		t.Errorf("empty instance: %+v, %v", alloc, ok)
 	}
 }
@@ -127,8 +128,8 @@ func TestMaxMinYieldSoundnessProperty(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		for _, j := range js {
-			if alloc.YieldOf[j.ID] < alloc.MinYield-1e-9 {
+		for i := range js {
+			if alloc.Yields[i] < alloc.MinYield-1e-9 {
 				return false
 			}
 		}
@@ -146,14 +147,10 @@ func TestImproveAverageYieldFillsLeftover(t *testing.T) {
 		JobSpec{ID: 0, Tasks: 1, CPUNeed: 0.6, MemReq: 0.2},
 		JobSpec{ID: 1, Tasks: 1, CPUNeed: 0.6, MemReq: 0.2},
 	)
-	alloc := NewAllocation()
-	alloc.NodesOf[0] = []int{0}
-	alloc.NodesOf[1] = []int{1}
-	alloc.YieldOf[0] = 0.5
-	alloc.YieldOf[1] = 0.5
+	alloc := &Allocation{Nodes: [][]int{{0}, {1}}, Yields: []float64{0.5, 0.5}}
 	ImproveAverageYield(js, alloc, nodes(2), nil)
-	if alloc.YieldOf[0] != 1 || alloc.YieldOf[1] != 1 {
-		t.Errorf("yields = %v, want both 1", alloc.YieldOf)
+	if alloc.Yields[0] != 1 || alloc.Yields[1] != 1 {
+		t.Errorf("yields = %v, want both 1", alloc.Yields)
 	}
 }
 
@@ -164,20 +161,16 @@ func TestImproveAverageYieldPrefersCheapJobs(t *testing.T) {
 		JobSpec{ID: 0, Tasks: 1, CPUNeed: 0.2, MemReq: 0.1}, // cheap
 		JobSpec{ID: 1, Tasks: 1, CPUNeed: 0.8, MemReq: 0.1}, // expensive
 	)
-	alloc := NewAllocation()
-	alloc.NodesOf[0] = []int{0}
-	alloc.NodesOf[1] = []int{0}
-	alloc.YieldOf[0] = 0.5
-	alloc.YieldOf[1] = 0.5
+	alloc := &Allocation{Nodes: [][]int{{0}, {0}}, Yields: []float64{0.5, 0.5}}
 	// Used: 0.2*0.5 + 0.8*0.5 = 0.5, headroom 0.5.
 	ImproveAverageYield(js, alloc, nodes(1), nil)
-	if alloc.YieldOf[0] != 1 {
-		t.Errorf("cheap job yield = %v, want 1", alloc.YieldOf[0])
+	if alloc.Yields[0] != 1 {
+		t.Errorf("cheap job yield = %v, want 1", alloc.Yields[0])
 	}
 	// After raising job 0 to 1: used = 0.2 + 0.4 = 0.6; headroom 0.4
 	// raises job 1 by 0.4/0.8 = 0.5 -> but cap at... 0.5+0.5 = 1.0 exactly.
-	if math.Abs(alloc.YieldOf[1]-1) > 1e-9 {
-		t.Errorf("expensive job yield = %v, want 1", alloc.YieldOf[1])
+	if math.Abs(alloc.Yields[1]-1) > 1e-9 {
+		t.Errorf("expensive job yield = %v, want 1", alloc.Yields[1])
 	}
 }
 
@@ -186,19 +179,15 @@ func TestImproveAverageYieldRespectsEligibility(t *testing.T) {
 		JobSpec{ID: 0, Tasks: 1, CPUNeed: 0.5, MemReq: 0.1},
 		JobSpec{ID: 1, Tasks: 1, CPUNeed: 0.5, MemReq: 0.1},
 	)
-	alloc := NewAllocation()
-	alloc.NodesOf[0] = []int{0}
-	alloc.NodesOf[1] = []int{0}
-	alloc.YieldOf[0] = 0.5
-	alloc.YieldOf[1] = 0.5
+	alloc := &Allocation{Nodes: [][]int{{0}, {0}}, Yields: []float64{0.5, 0.5}}
 	// Only job 1 may be raised; headroom is 0.5 so job 1 reaches 1.0 and
 	// job 0 stays put.
 	ImproveAverageYield(js, alloc, nodes(1), func(j JobSpec) bool { return j.ID == 1 })
-	if alloc.YieldOf[0] != 0.5 {
-		t.Errorf("ineligible job raised to %v", alloc.YieldOf[0])
+	if alloc.Yields[0] != 0.5 {
+		t.Errorf("ineligible job raised to %v", alloc.Yields[0])
 	}
-	if alloc.YieldOf[1] != 1 {
-		t.Errorf("eligible job yield = %v, want 1", alloc.YieldOf[1])
+	if alloc.Yields[1] != 1 {
+		t.Errorf("eligible job yield = %v, want 1", alloc.Yields[1])
 	}
 }
 
@@ -221,13 +210,10 @@ func TestImproveAverageYieldSoundnessProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		before := map[int]float64{}
-		for id, y := range alloc.YieldOf {
-			before[id] = y
-		}
+		before := slices.Clone(alloc.Yields)
 		ImproveAverageYield(js, alloc, nodes(n), nil)
-		for id, y := range alloc.YieldOf {
-			if y < before[id]-1e-12 || y > 1+1e-9 {
+		for i, y := range alloc.Yields {
+			if y < before[i]-1e-12 || y > 1+1e-9 {
 				return false
 			}
 		}
@@ -292,8 +278,8 @@ func TestMinEstimatedStretch(t *testing.T) {
 	}
 	// Job 1 has worse current stretch (12 vs 6), so it must receive at
 	// least as much yield as job 0.
-	if alloc.YieldOf[1] < alloc.YieldOf[0]-1e-9 {
-		t.Errorf("worse-off job got less yield: %v", alloc.YieldOf)
+	if alloc.Yields[1] < alloc.Yields[0]-1e-9 {
+		t.Errorf("worse-off job got less yield: %v", alloc.Yields)
 	}
 	sp := []JobSpec{states[0].JobSpec, states[1].JobSpec}
 	if err := ValidateAllocation(sp, alloc, nodes(1)); err != nil {
@@ -322,26 +308,24 @@ func TestEstStretch(t *testing.T) {
 
 func TestValidateAllocationCatchesViolations(t *testing.T) {
 	js := specs(JobSpec{ID: 0, Tasks: 2, CPUNeed: 0.8, MemReq: 0.6})
-	alloc := NewAllocation()
-	alloc.NodesOf[0] = []int{0, 0} // both tasks on one node: memory 1.2
-	alloc.YieldOf[0] = 0.5
+	alloc := &Allocation{Nodes: [][]int{{0, 0}}, Yields: []float64{0.5}} // both tasks on one node: memory 1.2
 	if err := ValidateAllocation(js, alloc, nodes(2)); err == nil {
 		t.Error("memory violation not detected")
 	}
-	alloc.NodesOf[0] = []int{0}
+	alloc.Nodes[0] = []int{0}
 	if err := ValidateAllocation(js, alloc, nodes(2)); err == nil {
 		t.Error("missing placement not detected")
 	}
-	alloc.NodesOf[0] = []int{0, 7}
+	alloc.Nodes[0] = []int{0, 7}
 	if err := ValidateAllocation(js, alloc, nodes(2)); err == nil {
 		t.Error("node out of range not detected")
 	}
-	alloc.NodesOf[0] = []int{0, 1}
-	alloc.YieldOf[0] = 1.5
+	alloc.Nodes[0] = []int{0, 1}
+	alloc.Yields[0] = 1.5
 	if err := ValidateAllocation(js, alloc, nodes(2)); err == nil {
 		t.Error("yield out of range not detected")
 	}
-	missing := NewAllocation()
+	missing := &Allocation{}
 	if err := ValidateAllocation(js, missing, nodes(2)); err == nil {
 		t.Error("absent job not detected")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,15 +11,7 @@ import (
 // cloneAlloc copies the yields of a; the improvement heuristic only reads
 // node lists, so they are shared.
 func cloneAlloc(a *Allocation) *Allocation {
-	b := NewAllocation()
-	for id, nodes := range a.NodesOf {
-		b.NodesOf[id] = nodes
-	}
-	for id, y := range a.YieldOf {
-		b.YieldOf[id] = y
-	}
-	b.MinYield = a.MinYield
-	return b
+	return &Allocation{Nodes: a.Nodes, Yields: slices.Clone(a.Yields), MinYield: a.MinYield}
 }
 
 // TestImproveCountsRepeatedNodesOutOfOrder pins the improvement of a job
@@ -43,19 +36,16 @@ func TestImproveCountsRepeatedNodesOutOfOrder(t *testing.T) {
 		JobSpec{ID: 1, Tasks: 1, CPUNeed: 0.3125, MemReq: 0.1},
 		JobSpec{ID: 2, Tasks: 2, CPUNeed: 0.25, MemReq: 0.1},
 	)
-	alloc := NewAllocation()
-	alloc.NodesOf[0] = []int{3, 1, 3, 2, 1, 3}
-	alloc.NodesOf[1] = []int{1}
-	alloc.NodesOf[2] = []int{2, 2}
-	alloc.YieldOf[0] = 0.25
-	alloc.YieldOf[1] = 1
-	alloc.YieldOf[2] = 0.5
+	alloc := &Allocation{
+		Nodes:  [][]int{{3, 1, 3, 2, 1, 3}, {1}, {2, 2}},
+		Yields: []float64{0.25, 1, 0.5},
+	}
 	var sc ImproveScratch
 	for call := 0; call < 2; call++ { // the second call reuses the scratch
 		a := cloneAlloc(alloc)
 		sc.ImproveAverageYieldRanked(js, a, c, nil, nil)
-		if a.YieldOf[0] != 0.75 || a.YieldOf[1] != 1 || a.YieldOf[2] != 1 {
-			t.Fatalf("call %d: yields %v, want 0:0.75 1:1 2:1", call, a.YieldOf)
+		if a.Yields[0] != 0.75 || a.Yields[1] != 1 || a.Yields[2] != 1 {
+			t.Fatalf("call %d: yields %v, want [0.75 1 1]", call, a.Yields)
 		}
 	}
 }
@@ -76,7 +66,7 @@ func TestImproveScratchReuseAcrossClusterSizes(t *testing.T) {
 			}
 			c := cluster.New(specsN)
 			var js []JobSpec
-			alloc := NewAllocation()
+			alloc := &Allocation{}
 			for id, nj := 0, 1+r.Intn(8); id < nj; id++ {
 				j := JobSpec{ID: id, Tasks: 1 + r.Intn(6), CPUNeed: 0.05 + 0.3*r.Float64(), MemReq: 0.1}
 				js = append(js, j)
@@ -84,8 +74,8 @@ func TestImproveScratchReuseAcrossClusterSizes(t *testing.T) {
 				for k := range nodes {
 					nodes[k] = r.Intn(n)
 				}
-				alloc.NodesOf[id] = nodes
-				alloc.YieldOf[id] = 0.05 + 0.5*r.Float64()
+				alloc.Nodes = append(alloc.Nodes, nodes)
+				alloc.Yields = append(alloc.Yields, 0.05+0.5*r.Float64())
 			}
 			var rank []float64
 			if r.Intn(2) == 0 {
@@ -96,10 +86,10 @@ func TestImproveScratchReuseAcrossClusterSizes(t *testing.T) {
 			want := cloneAlloc(alloc)
 			ImproveAverageYieldRanked(js, want, c, nil, rank)
 			sc.ImproveAverageYieldRanked(js, alloc, c, nil, rank)
-			for id, y := range want.YieldOf {
-				if alloc.YieldOf[id] != y {
+			for id, y := range want.Yields {
+				if alloc.Yields[id] != y {
 					t.Fatalf("round %d (n=%d) rep %d: job %d yield %v with reused scratch, %v fresh",
-						round, n, rep, id, alloc.YieldOf[id], y)
+						round, n, rep, id, alloc.Yields[id], y)
 				}
 			}
 		}

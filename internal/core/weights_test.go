@@ -21,10 +21,10 @@ func TestWeightedYields(t *testing.T) {
 	}
 	// Base yield Y with 2Y + Y <= 1: Y ~ 1/3, so yields ~2/3 and ~1/3
 	// within the 0.01 search accuracy.
-	if y := alloc.YieldOf[0]; math.Abs(y-2.0/3) > 0.03 {
+	if y := alloc.Yields[0]; math.Abs(y-2.0/3) > 0.03 {
 		t.Errorf("weighted job yield = %v, want ~0.667", y)
 	}
-	if y := alloc.YieldOf[1]; math.Abs(y-1.0/3) > 0.03 {
+	if y := alloc.Yields[1]; math.Abs(y-1.0/3) > 0.03 {
 		t.Errorf("unit job yield = %v, want ~0.333", y)
 	}
 	if err := ValidateAllocation(js, alloc, nodes(1)); err != nil {
@@ -42,13 +42,13 @@ func TestWeightCapsAtFullYield(t *testing.T) {
 	if !ok {
 		t.Fatal("feasible instance failed")
 	}
-	if alloc.YieldOf[0] > 1+1e-9 {
-		t.Errorf("yield above 1: %v", alloc.YieldOf[0])
+	if alloc.Yields[0] > 1+1e-9 {
+		t.Errorf("yield above 1: %v", alloc.Yields[0])
 	}
 	// Both jobs fit at full speed here (0.5+0.5 = 1), so weights change
 	// nothing.
-	if alloc.YieldOf[1] < 0.99 {
-		t.Errorf("unit job starved at %v despite full-speed feasibility", alloc.YieldOf[1])
+	if alloc.Yields[1] < 0.99 {
+		t.Errorf("unit job starved at %v despite full-speed feasibility", alloc.Yields[1])
 	}
 }
 
@@ -72,9 +72,9 @@ func TestZeroWeightMeansDefault(t *testing.T) {
 		t.Fatal("explicit failed")
 	}
 	for id := 0; id <= 1; id++ {
-		if a.YieldOf[id] != b.YieldOf[id] {
+		if a.Yields[id] != b.Yields[id] {
 			t.Errorf("job %d: zero-weight yield %v != weight-1 yield %v",
-				id, a.YieldOf[id], b.YieldOf[id])
+				id, a.Yields[id], b.Yields[id])
 		}
 	}
 }

@@ -102,6 +102,8 @@ type Scheduler struct {
 	// system, allocator calls, and candidate sets the rigid capacity bound
 	// ruled out without one. Solves+BoundSkips is the number of candidate
 	// sets one-at-a-time shedding would have passed to the allocator.
+	// Reuses reports how many of the solves the allocator answered from
+	// the previous one.
 	Reschedules, Solves, BoundSkips int
 
 	ws      core.Workspace
@@ -114,7 +116,6 @@ type Scheduler struct {
 	order   []int
 	remap   []int
 	runBuf  []int
-	yields  []float64
 	prioBuf []float64
 	memBuf  []float64
 	greedy  sched.YieldScratch
@@ -146,6 +147,12 @@ func New(opt Options) *Scheduler {
 	}
 	return s
 }
+
+// Reuses returns the number of solves the allocator answered without
+// probing because the job set was the previous solve's
+// (core.Workspace.Reuses). Only min-yield solves are reused; the
+// stretch-driven variant always probes.
+func (s *Scheduler) Reuses() int { return s.ws.Reuses }
 
 // Name implements sim.Scheduler.
 func (s *Scheduler) Name() string { return s.name }
@@ -255,7 +262,7 @@ func (s *Scheduler) reschedule(ctl *sim.Controller) {
 			return
 		}
 	}
-	s.apply(ctl, nil, core.NewAllocation())
+	s.apply(ctl, nil, &core.Allocation{})
 }
 
 // compact filters the dropped jobs out of jids and the parallel specs in
@@ -343,35 +350,27 @@ func (s *Scheduler) removalOrder(ctl *sim.Controller, jids []int, now float64) [
 	return order
 }
 
-// apply transitions the cluster from its current allocation to alloc:
-// running jobs that fell out of the set are paused; running jobs whose node
-// multiset changed are paused and immediately resumed at the new location
-// (the simulator reclassifies this as a migration); pending and paused jobs
-// in the set are started/resumed; finally yields are applied through the
-// two-phase update.
+// apply transitions the cluster from its current allocation to alloc,
+// which is indexed like inSet: running jobs that fell out of the set are
+// paused; running jobs whose node multiset changed are paused and
+// immediately resumed at the new location (the simulator reclassifies this
+// as a migration); pending and paused jobs in the set are started/resumed;
+// finally yields are applied through the two-phase update.
 func (s *Scheduler) apply(ctl *sim.Controller, inSet []int, alloc *core.Allocation) {
-	// inSet is ActiveJobs with the shed jobs filtered out, so it is sorted
-	// ascending: membership is a binary search, no keep-map.
-	inKeptSet := func(jid int) bool {
-		i := sort.SearchInts(inSet, jid)
-		return i < len(inSet) && inSet[i] == jid
-	}
 	// Phase 1: release everything that leaves or moves. Pausing mutates the
-	// running set, so iterate a snapshot.
+	// running set, so iterate a snapshot. inSet is ActiveJobs with the shed
+	// jobs filtered out, so it is sorted ascending: a binary search finds a
+	// job's index, or that it left the set.
 	s.runBuf = ctl.AppendJobsInState(s.runBuf[:0], sim.Running)
 	for _, jid := range s.runBuf {
-		if !inKeptSet(jid) {
-			ctl.Pause(jid)
-			continue
-		}
-		if !sim.SameMultiset(ctl.JobNodes(jid), alloc.NodesOf[jid]) {
+		i := sort.SearchInts(inSet, jid)
+		if i == len(inSet) || inSet[i] != jid || !sim.SameMultiset(ctl.JobNodes(jid), alloc.Nodes[i]) {
 			ctl.Pause(jid)
 		}
 	}
 	// Phase 2: occupy new placements (deterministic ascending-jid order).
-	s.yields = s.yields[:0]
-	for _, jid := range inSet {
-		nodes := alloc.NodesOf[jid]
+	for i, jid := range inSet {
+		nodes := alloc.Nodes[i]
 		switch ctl.JobState(jid) {
 		case sim.Pending:
 			ctl.Start(jid, nodes)
@@ -380,7 +379,6 @@ func (s *Scheduler) apply(ctl *sim.Controller, inSet []int, alloc *core.Allocati
 		case sim.Running:
 			// Unchanged multiset; nothing to move.
 		}
-		s.yields = append(s.yields, alloc.YieldOf[jid])
 	}
-	sched.ApplyYieldsList(ctl, inSet, s.yields)
+	sched.ApplyYieldsList(ctl, inSet, alloc.Yields)
 }

@@ -55,6 +55,51 @@ func TestShedCountersPinned(t *testing.T) {
 	}
 }
 
+// TestReusesPinned pins how many solves the allocator answers from the
+// previous solve on one member of a round-robin federation: every eighth
+// job of a 64-node Lublin trace at load 0.9, about 0.11 load on the
+// member, where most periodic repacks see the job set of the tick before.
+// The stretch-driven variant's solves depend on the clock, so it never
+// reuses. A count change is a behaviour change of the reuse, not noise.
+func TestReusesPinned(t *testing.T) {
+	full, err := lublin.GenerateTrace(rng.New(11), lublin.DefaultParams(64), 2400, "reuses")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, err = full.ScaleToLoad(0.9); err != nil {
+		t.Fatal(err)
+	}
+	tr := *full
+	tr.Jobs = nil
+	for i := 0; i < len(full.Jobs); i += 8 {
+		j := full.Jobs[i]
+		j.ID = len(tr.Jobs)
+		tr.Jobs = append(tr.Jobs, j)
+	}
+	cases := []struct {
+		opt                         Options
+		reschedules, solves, reuses int
+	}{
+		{Options{Period: DefaultPeriod, ASAP: true}, 1097, 1097, 922},
+		{Options{Period: DefaultPeriod, Stretch: true}, 1178, 1178, 0},
+	}
+	for _, tc := range cases {
+		s := New(tc.opt)
+		simulator, err := sim.New(sim.Config{Trace: &tr, Penalty: 300}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := simulator.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := [3]int{s.Reschedules, s.Solves, s.Reuses()}
+		want := [3]int{tc.reschedules, tc.solves, tc.reuses}
+		if got != want {
+			t.Errorf("%s: reschedules, solves, reuses = %v, want %v", s.Name(), got, want)
+		}
+	}
+}
+
 // defCheck wraps a DYNMCB8 scheduler and, at every global repack, checks
 // the outcome against the shed loop's definition.
 type defCheck struct {
@@ -151,7 +196,7 @@ func (w *defCheck) definition(ctl *sim.Controller) (set []int, alloc *core.Alloc
 		core.ImproveAverageYield(specs, alloc, c, nil)
 		return set, alloc, tried, ruledOut
 	}
-	return nil, core.NewAllocation(), tried, ruledOut
+	return nil, &core.Allocation{}, tried, ruledOut
 }
 
 // countTies records which kinds of ties the removal order of a shedding
@@ -197,11 +242,11 @@ func (w *defCheck) check(ctl *sim.Controller, hook func()) {
 	if running := ctl.JobsInState(sim.Running); !slices.Equal(running, set) && len(running)+len(set) > 0 {
 		w.t.Fatalf("t=%v: running %v, want %v", now, running, set)
 	}
-	for _, jid := range set {
-		if !sim.SameMultiset(ctl.JobNodes(jid), alloc.NodesOf[jid]) {
-			w.t.Fatalf("t=%v: job %d on %v, want %v", now, jid, ctl.JobNodes(jid), alloc.NodesOf[jid])
+	for i, jid := range set {
+		if !sim.SameMultiset(ctl.JobNodes(jid), alloc.Nodes[i]) {
+			w.t.Fatalf("t=%v: job %d on %v, want %v", now, jid, ctl.JobNodes(jid), alloc.Nodes[i])
 		}
-		if got, want := ctl.Job(jid).Yield, floats.Clamp01(alloc.YieldOf[jid]); got != want {
+		if got, want := ctl.Job(jid).Yield, floats.Clamp01(alloc.Yields[i]); got != want {
 			w.t.Fatalf("t=%v: job %d yield %v, want %v", now, jid, got, want)
 		}
 	}

@@ -231,7 +231,8 @@ func (p *plan) Cost(node int) float64 { return p.ctl.NodeCost(node) }
 // job's hosting nodes. It returns nil — the paper's tie-break by job ID —
 // unless the configured objective opts in through placement.JobRanker (the
 // cost objective does: granting leftover CPU to jobs on expensive nodes
-// first finishes them sooner and releases the priced capacity).
+// first finishes them sooner and releases the priced capacity). alloc is
+// indexed like specs.
 func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocation) []float64 {
 	obj := ctl.Objective()
 	if obj == nil {
@@ -243,8 +244,8 @@ func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocati
 	}
 	st := &plan{ctl: ctl}
 	rank := make([]float64, len(specs))
-	for i, spec := range specs {
-		for _, node := range alloc.NodesOf[spec.ID] {
+	for i := range specs {
+		for _, node := range alloc.Nodes[i] {
 			rank[i] += obj.Score(placement.ZeroDemand, node, st)
 		}
 	}
@@ -287,8 +288,7 @@ func ByPriority(ctl *sim.Controller, jids []int, now float64, pf PriorityFunc, a
 type YieldScratch struct {
 	running []int
 	specs   []core.JobSpec
-	vals    []float64
-	alloc   *core.Allocation
+	alloc   core.Allocation
 	imp     core.ImproveScratch
 }
 
@@ -307,25 +307,18 @@ func (ys *YieldScratch) Apply(ctl *sim.Controller) {
 		return
 	}
 	base := 1.0 / math.Max(1, ctl.MaxCPULoad())
-	if ys.alloc == nil {
-		ys.alloc = core.NewAllocation()
-	}
-	alloc := ys.alloc
-	clear(alloc.NodesOf)
-	clear(alloc.YieldOf)
+	alloc := &ys.alloc
 	ys.specs = ys.specs[:0]
+	alloc.Nodes = alloc.Nodes[:0]
+	alloc.Yields = alloc.Yields[:0]
 	for _, jid := range running {
 		ys.specs = append(ys.specs, SpecOf(ctl, jid))
-		alloc.NodesOf[jid] = ctl.JobNodes(jid)
-		alloc.YieldOf[jid] = base
+		alloc.Nodes = append(alloc.Nodes, ctl.JobNodes(jid))
+		alloc.Yields = append(alloc.Yields, base)
 	}
 	alloc.MinYield = base
 	ys.imp.ImproveAverageYieldRanked(ys.specs, alloc, ctl.Cluster(), nil, ImproveRank(ctl, ys.specs, alloc))
-	ys.vals = ys.vals[:0]
-	for _, jid := range running {
-		ys.vals = append(ys.vals, alloc.YieldOf[jid])
-	}
-	ApplyYieldsList(ctl, running, ys.vals)
+	ApplyYieldsList(ctl, running, alloc.Yields)
 }
 
 // ApplyGreedyYields is YieldScratch.Apply with one-shot buffers, for

@@ -209,7 +209,8 @@ type TraceReader struct {
 // comments and the column header (erroring if the input has none) and
 // returns a TraceReader positioned before the first job. Metadata
 // comments after the header — which Encode never writes — are still
-// applied as they are passed, but are not visible in Meta before then.
+// applied as they are passed, but are not visible in Meta before then; a
+// node count there must repeat the one the stream opened with.
 func StreamTrace(r io.Reader) (*TraceReader, error) {
 	tr := newTraceReader(r)
 	tr.strict = true
@@ -312,6 +313,11 @@ func (tr *TraceReader) applyMeta(line string) error {
 		}
 		if v > cluster.MaxNodes {
 			return fmt.Errorf("workload: line %d: %d nodes, above the limit of %d", tr.lineno, v, cluster.MaxNodes)
+		}
+		if tr.strict && tr.sawHeader && v != tr.meta.Nodes {
+			// The consumer laid out its cluster from Meta when the stream
+			// opened, and jobs are validated against that size.
+			return fmt.Errorf("workload: line %d: %d nodes after the column header, opened with %d", tr.lineno, v, tr.meta.Nodes)
 		}
 		tr.meta.Nodes = v
 	case strings.HasPrefix(meta, "nodemem_gb:"):

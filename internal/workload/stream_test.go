@@ -91,6 +91,7 @@ func TestStreamTraceErrorsCarryLineNumbers(t *testing.T) {
 		{"bad number", header + "0 1 1 0.5 0.5 10\nx 2 1 0.5 0.5 10\n", "line 6"},
 		{"invalid job", header + "0 1 0 0.5 0.5 10\n", "line 5"},
 		{"submit disorder", header + "0 9 1 0.5 0.5 10\n1 2 1 0.5 0.5 10\n", "line 6"},
+		{"node count change", header + "0 1 1 0.5 0.5 10\n# nodes: 0\n1 2 9 0.5 0.5 10\n", "line 6"},
 	}
 	for _, c := range cases {
 		sr, err := StreamTrace(strings.NewReader(c.doc))
