@@ -142,7 +142,9 @@ type Grid struct {
 	// Check enables per-event simulator invariant validation (slow).
 	Check bool `json:"check"`
 	// Timing records wall-clock scheduler timing aggregates in each
-	// record (Record.Timing). Timing data is inherently nondeterministic;
+	// record (Record.Timing). Hook times are sampled through an observer
+	// of the cell's SchedulerInvoked events, which is the only path that
+	// times hooks. Timing data is inherently nondeterministic;
 	// leave it off for campaigns whose output must be reproducible
 	// byte-for-byte.
 	Timing bool `json:"timing"`

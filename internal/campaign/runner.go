@@ -191,21 +191,32 @@ func runCell(ctx context.Context, r *Runner, mat *materialiser, g *Grid, c Cell)
 	// everywhere; GPU profiles keep their own layout. Each member resolves
 	// a fresh scheduler and objective instance (both may carry state).
 	fspec := federation.Spec{
-		TraceName:        tr.Name,
-		NodeMemGB:        tr.NodeMemGB,
-		Dims:             tr.Dims(),
-		Members:          members,
-		Dispatcher:       c.Dispatch,
-		Algorithm:        c.Algorithm,
-		Objective:        c.Objective,
-		Penalty:          c.Penalty,
-		MaxSimTime:       maxSimTime,
-		CheckInvariants:  g.Check,
-		RecordSchedTimes: g.Timing,
-		Workers:          r.FedWorkers,
+		TraceName:       tr.Name,
+		NodeMemGB:       tr.NodeMemGB,
+		Dims:            tr.Dims(),
+		Members:         members,
+		Dispatcher:      c.Dispatch,
+		Algorithm:       c.Algorithm,
+		Objective:       c.Objective,
+		Penalty:         c.Penalty,
+		MaxSimTime:      maxSimTime,
+		CheckInvariants: g.Check,
+		Workers:         r.FedWorkers,
 	}
+	// Hook timing is one more observer of the cell's members, folding
+	// each SchedulerInvoked as it arrives.
+	var observers []sim.Observer
 	if r.Observe != nil {
-		obs := r.Observe(c)
+		if obs := r.Observe(c); obs != nil {
+			observers = append(observers, obs)
+		}
+	}
+	var timing *TimingAgg
+	if g.Timing {
+		timing = &TimingAgg{}
+		observers = append(observers, sim.ObserverFunc(timing.observe))
+	}
+	if obs := sim.Fanout(observers...); obs != nil {
 		fspec.Observer = func(int) sim.Observer { return obs }
 	}
 	fed, err := federation.New(fspec, workload.NewSliceSource(tr))
@@ -264,44 +275,38 @@ func runCell(ctx context.Context, r *Runner, mat *materialiser, g *Grid, c Cell)
 			rec.Dispatched[i] = res.Clusters[i].Dispatched
 		}
 	}
-	if g.Timing {
-		rec.Timing = aggregateTiming(mg.SchedSamples)
-	}
+	rec.Timing = timing
 	return rec, nil
 }
 
-// aggregateTiming folds raw scheduler timing samples into the mergeable
-// per-cell aggregate.
-func aggregateTiming(samples []sim.SchedSample) *TimingAgg {
-	agg := &TimingAgg{Min: math.Inf(1), LargeMin: math.Inf(1)}
-	for _, s := range samples {
-		agg.Samples++
-		agg.Sum += s.Seconds
-		agg.SumSq += s.Seconds * s.Seconds
-		agg.Min = math.Min(agg.Min, s.Seconds)
-		agg.Max = math.Max(agg.Max, s.Seconds)
-		if s.JobsInSystem <= 10 {
-			if s.Seconds < 1e-3 {
-				agg.SmallFast++
-			}
-		} else {
-			agg.LargeN++
-			agg.LargeSum += s.Seconds
-			agg.LargeSqSm += s.Seconds * s.Seconds
-			agg.LargeMin = math.Min(agg.LargeMin, s.Seconds)
-			agg.LargeMax = math.Max(agg.LargeMax, s.Seconds)
+// observe folds one SchedulerInvoked event into the aggregate; other
+// events are ignored.
+func (agg *TimingAgg) observe(e sim.Event) {
+	if e.Kind != sim.EvSchedulerInvoked {
+		return
+	}
+	sec := e.Elapsed.Seconds()
+	if agg.Samples == 0 || sec < agg.Min {
+		agg.Min = sec
+	}
+	agg.Samples++
+	agg.Sum += sec
+	agg.SumSq += sec * sec
+	agg.Max = math.Max(agg.Max, sec)
+	if e.JobsInSystem <= 10 {
+		if sec < 1e-3 {
+			agg.SmallFast++
 		}
-		if s.JobsInSystem > agg.MaxJobs {
-			agg.MaxJobs = s.JobsInSystem
+	} else {
+		if agg.LargeN == 0 || sec < agg.LargeMin {
+			agg.LargeMin = sec
 		}
+		agg.LargeN++
+		agg.LargeSum += sec
+		agg.LargeSqSm += sec * sec
+		agg.LargeMax = math.Max(agg.LargeMax, sec)
 	}
-	if agg.Samples == 0 {
-		agg.Min = 0
-	}
-	if agg.LargeN == 0 {
-		agg.LargeMin = 0
-	}
-	return agg
+	agg.MaxJobs = max(agg.MaxJobs, e.JobsInSystem)
 }
 
 // materialiser builds and caches the traces a grid's cells run on. Base

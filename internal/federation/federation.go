@@ -121,10 +121,6 @@ type Spec struct {
 	// CheckInvariants enables full per-event state validation in every
 	// member (tests only; expensive).
 	CheckInvariants bool
-	// RecordSchedTimes samples scheduler wall-clock time per invocation
-	// in every member; the merged Result concatenates member samples in
-	// member order.
-	RecordSchedTimes bool
 	// Workers is how many goroutines advance members between dispatch
 	// points (see the package doc's Execution section), capped at the
 	// member count; 0 or 1 advances them inline, in index order. Results
@@ -274,10 +270,9 @@ func newMember(i int, ms MemberSpec, spec Spec, cbMu *sync.Mutex) (*member, erro
 			Nodes:     ms.Nodes,
 			NodeMemGB: spec.NodeMemGB,
 		},
-		Penalty:          spec.Penalty,
-		MaxSimTime:       spec.MaxSimTime,
-		CheckInvariants:  spec.CheckInvariants,
-		RecordSchedTimes: spec.RecordSchedTimes,
+		Penalty:         spec.Penalty,
+		MaxSimTime:      spec.MaxSimTime,
+		CheckInvariants: spec.CheckInvariants,
 	}
 	if spec.Observer != nil {
 		if obs := spec.Observer(i); obs != nil {
@@ -484,7 +479,6 @@ func (f *Federation) finalize() (*Result, error) {
 		mg.MigrationGB += r.MigrationGB
 		mg.DeliveredCPUSeconds += r.DeliveredCPUSeconds
 		mg.NodeCostSeconds += r.NodeCostSeconds
-		mg.SchedSamples = append(mg.SchedSamples, r.SchedSamples...)
 		mg.Events += r.Events
 	}
 	sort.Slice(mg.Jobs, func(a, b int) bool { return mg.Jobs[a].Job.ID < mg.Jobs[b].Job.ID })

@@ -289,10 +289,7 @@ func (c *Controller) Start(jid int, nodes []int) {
 	if j.start < 0 {
 		j.start = s.now
 	}
-	s.record(TlStart, jid, 0, 0)
-	if s.obs != nil {
-		s.obs.JobStarted(s.now, jid, append([]int(nil), nodes...))
-	}
+	s.emit(Event{Kind: EvStarted, JID: jid, Nodes: nodes})
 }
 
 // Pause preempts running job jid: it stops progressing and releases its
@@ -319,10 +316,7 @@ func (c *Controller) Pause(jid int) {
 	j.lastPauseWas = true
 	s.result.PreemptionOps++
 	s.result.PreemptionGB += s.memGB(j)
-	s.record(TlPause, jid, 0, 0)
-	if s.obs != nil {
-		s.obs.JobPreempted(s.now, jid)
-	}
+	s.emit(Event{Kind: EvPreempted, JID: jid})
 }
 
 // Resume restarts paused job jid on the given nodes with yield zero and
@@ -346,6 +340,9 @@ func (c *Controller) Resume(jid int, nodes []int) {
 		panic(fmt.Sprintf("sim: Resume job %d with %d nodes for %d tasks", jid, len(nodes), j.job.Tasks))
 	}
 	sameEvent := j.lastPauseWas && j.lastPauseTime == s.now
+	// A reclassified pair surfaces as a migration; a plain or refunded
+	// resume surfaces as a restart.
+	kind := EvStarted
 	switch {
 	case sameEvent && SameMultiset(nodes, j.lastNodes):
 		// Undo: the job never actually moved. The pause's accounting is
@@ -361,6 +358,7 @@ func (c *Controller) Resume(jid int, nodes []int) {
 		j.yield = 0
 	case sameEvent:
 		// Reclassify pause+resume as a single migration.
+		kind = EvMigrated
 		j.pauses--
 		j.migrations++
 		s.result.PreemptionOps--
@@ -384,19 +382,10 @@ func (c *Controller) Resume(jid int, nodes []int) {
 	if j.start < 0 {
 		j.start = s.now
 	}
-	s.record(TlResume, jid, 0, j.frozenUntil)
-	if s.obs != nil {
-		// The stream reports raw transitions: the JobPreempted emitted by
-		// the matching Pause is never retracted, even when the accounting
-		// above refunds or reclassifies it (see Observer docs). A
-		// reclassified pair surfaces the migration; a plain or refunded
-		// resume surfaces a restart.
-		if sameEvent && !SameMultiset(nodes, j.lastNodes) {
-			s.obs.JobMigrated(s.now, jid, append([]int(nil), nodes...))
-		} else {
-			s.obs.JobStarted(s.now, jid, append([]int(nil), nodes...))
-		}
-	}
+	// The stream reports raw transitions: the JobPreempted emitted by the
+	// matching Pause is never retracted, even when the accounting above
+	// refunds or reclassifies it (see Observer docs).
+	s.emit(Event{Kind: kind, JID: jid, Nodes: nodes, frozenUntil: j.frozenUntil, resumed: true})
 }
 
 // Migrate moves running job jid to a new node multiset in one step
@@ -422,10 +411,7 @@ func (c *Controller) Migrate(jid int, nodes []int) {
 	j.frozenUntil = s.now + s.cfg.Penalty
 	s.result.MigrationOps++
 	s.result.MigrationGB += 2 * s.memGB(j)
-	s.record(TlMigrate, jid, 0, j.frozenUntil)
-	if s.obs != nil {
-		s.obs.JobMigrated(s.now, jid, append([]int(nil), nodes...))
-	}
+	s.emit(Event{Kind: EvMigrated, JID: jid, Nodes: nodes, frozenUntil: j.frozenUntil})
 }
 
 // SetYield assigns job jid's yield, adjusting every hosting node's
@@ -453,7 +439,7 @@ func (c *Controller) SetYield(jid int, y float64) {
 		s.usedCPU[node] = floats.NonNeg(s.usedCPU[node])
 	}
 	j.yield = y
-	s.record(TlYield, jid, y, 0)
+	s.emit(Event{Kind: evYielded, JID: jid, yield: y})
 }
 
 // Penalty returns the configured rescheduling penalty. Exposed for tests

@@ -200,13 +200,6 @@ func (r *Result) Utilization() float64 {
 	return r.DeliveredCPUSeconds / (r.Makespan * cap)
 }
 
-// SchedSample is one timing observation of the scheduler: how long one hook
-// invocation took with how many jobs in the system (pending+running+paused).
-type SchedSample struct {
-	JobsInSystem int
-	Seconds      float64
-}
-
 // Result is the outcome of a full simulation run.
 type Result struct {
 	Algorithm string
@@ -240,9 +233,8 @@ type Result struct {
 	// VM-resident footprint. Always 0 on unpriced clusters.
 	NodeCostSeconds float64
 
-	SchedSamples []SchedSample   // empty unless Config.RecordSchedTimes
-	Timeline     []TimelineEvent // empty unless Config.RecordTimeline
-	Events       int             // number of simulation events processed
+	Timeline []TimelineEvent // empty unless Config.RecordTimeline
+	Events   int             // number of simulation events processed
 }
 
 // Config configures one simulation run.
@@ -276,12 +268,11 @@ type Config struct {
 	// CheckInvariants enables full state validation after every event
 	// (used by tests; expensive).
 	CheckInvariants bool
-	// RecordSchedTimes measures wall-clock time per scheduler invocation
-	// for the Section V timing study.
-	RecordSchedTimes bool
 	// RecordTimeline captures every per-job scheduling transition so the
 	// run can be rendered as a Gantt chart (Result.Timeline,
-	// Result.JobSegments).
+	// Result.JobSegments). Scheduler hooks are not part of the timeline:
+	// their wall-clock time is measured only with an Observer attached
+	// and reaches it as SchedulerInvoked (the Section V timing study).
 	RecordTimeline bool
 	// MaxSimTime aborts runs whose simulated clock passes this value
 	// (safety net against livelock; 0 disables).
@@ -759,10 +750,7 @@ func (s *Simulator) ProcessNextEvent() error {
 			s.popArrival()
 			s.advance(at)
 			s.result.Events++
-			s.record(TlSubmit, jid, 0, 0)
-			if s.obs != nil {
-				s.obs.JobSubmitted(s.now, jid)
-			}
+			s.emit(Event{Kind: EvSubmitted, JID: jid})
 			s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, jid) })
 			return s.finishEvent()
 		}
@@ -821,24 +809,17 @@ func (s *Simulator) Finalize() *Result {
 	return &s.result
 }
 
+// invoke runs one scheduler hook, timing it only when an observer is
+// attached to receive the SchedulerInvoked report.
 func (s *Simulator) invoke(hook string, fn func()) {
-	if !s.cfg.RecordSchedTimes && s.obs == nil {
+	if s.obs == nil {
 		fn()
 		return
 	}
 	inSystem := s.JobsInSystem()
 	t0 := time.Now()
 	fn()
-	elapsed := time.Since(t0)
-	if s.cfg.RecordSchedTimes {
-		s.result.SchedSamples = append(s.result.SchedSamples, SchedSample{
-			JobsInSystem: inSystem,
-			Seconds:      elapsed.Seconds(),
-		})
-	}
-	if s.obs != nil {
-		s.obs.SchedulerInvoked(s.now, hook, inSystem, elapsed)
-	}
+	s.emit(Event{Kind: EvSchedulerInvoked, Hook: hook, JobsInSystem: inSystem, Elapsed: time.Since(t0)})
 }
 
 // advance moves the clock to t, accruing virtual time for running jobs and,
@@ -944,10 +925,7 @@ func (s *Simulator) finishDue() []int {
 		if j.finish > s.result.Makespan {
 			s.result.Makespan = j.finish
 		}
-		s.record(TlFinish, jid, 0, 0)
-		if s.obs != nil {
-			s.obs.JobCompleted(s.now, jid, j.finish-j.job.Submit)
-		}
+		s.emit(Event{Kind: EvCompleted, JID: jid, Turnaround: j.finish - j.job.Submit})
 		s.doneBuf = append(s.doneBuf, jid)
 	}
 	return s.doneBuf

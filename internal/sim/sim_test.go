@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -476,8 +477,16 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestSchedTimeRecording: hooks are timed only for an observer, which
+// receives one SchedulerInvoked per hook; the timeline records none.
 func TestSchedTimeRecording(t *testing.T) {
-	simulator, err := New(Config{Trace: trace(job(0, 0, 1, 10)), RecordSchedTimes: true}, startImmediately(1))
+	var hooks []string
+	obs := ObserverFunc(func(e Event) {
+		if e.Kind == EvSchedulerInvoked {
+			hooks = append(hooks, e.Hook)
+		}
+	})
+	simulator, err := New(Config{Trace: trace(job(0, 0, 1, 10)), Observer: obs, RecordTimeline: true}, startImmediately(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +494,14 @@ func TestSchedTimeRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.SchedSamples) == 0 {
-		t.Error("no scheduler timing samples recorded")
+	if want := []string{"init", "arrival", "completion"}; !reflect.DeepEqual(hooks, want) {
+		t.Errorf("timed hooks = %v, want %v", hooks, want)
+	}
+	var kinds []TimelineKind
+	for _, e := range res.Timeline {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []TimelineKind{TlSubmit, TlStart, TlYield, TlFinish}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("timeline kinds = %v, want %v", kinds, want)
 	}
 }
