@@ -73,45 +73,68 @@ func TestTimelineYieldChangeSplitsSegments(t *testing.T) {
 	}
 }
 
+// TestTimelinePauseResumeWithPenalty: the freeze after a resume or a
+// migration splits at its end, and the running segment after a thaw
+// carries the yields set after it.
 func TestTimelinePauseResumeWithPenalty(t *testing.T) {
-	s := &script{
-		onArrival: func(ctl *Controller, jid int) {
-			ctl.Start(jid, []int{0})
-			ctl.SetYield(jid, 1)
-		},
-		onInit: func(ctl *Controller) {
-			ctl.SetTimer(10, 1)
-			ctl.SetTimer(20, 2)
-		},
+	type seg struct {
+		state    SegmentState
+		from, to float64
+		yield    float64
+	}
+	cases := []struct {
+		name    string
+		exec    float64
+		onTimer func(ctl *Controller, tag int64)
+		want    []seg
+	}{{
+		name: "pause-resume",
+		exec: 100,
 		onTimer: func(ctl *Controller, tag int64) {
 			switch tag {
-			case 1:
+			case 10:
 				ctl.Pause(0)
-			case 2:
+			case 20:
 				ctl.Resume(0, []int{1})
 				ctl.SetYield(0, 1)
 			}
 		},
-	}
-	res := runTimeline(t, Config{Trace: trace(job(0, 0, 1, 100)), Penalty: 300}, s)
-	segs := res.JobSegments(0)
-	// running(0-10), paused(10-20), frozen(20-320), running(320-410).
-	want := []struct {
-		state    SegmentState
-		from, to float64
-	}{
-		{SegRunning, 0, 10},
-		{SegPaused, 10, 20},
-		{SegFrozen, 20, 320},
-		{SegRunning, 320, 410},
-	}
-	if len(segs) != len(want) {
-		t.Fatalf("segments: %+v", segs)
-	}
-	for i, w := range want {
-		if segs[i].State != w.state || math.Abs(segs[i].From-w.from) > 1e-9 || math.Abs(segs[i].To-w.to) > 1e-9 {
-			t.Errorf("segment %d = %+v, want %+v", i, segs[i], w)
-		}
+		want: []seg{{SegRunning, 0, 10, 1}, {SegPaused, 10, 20, 0}, {SegFrozen, 20, 320, 0}, {SegRunning, 320, 410, 1}},
+	}, {
+		name: "yield-after-thaw",
+		exec: 1000,
+		onTimer: func(ctl *Controller, tag int64) {
+			switch tag {
+			case 10:
+				ctl.Migrate(0, []int{1})
+				ctl.SetYield(0, 0.8)
+			case 500:
+				ctl.SetYield(0, 0.5)
+			}
+		},
+		want: []seg{{SegRunning, 0, 10, 1}, {SegFrozen, 10, 310, 0}, {SegRunning, 310, 500, 0.8}, {SegRunning, 500, 2176, 0.5}},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startImmediately(1)
+			s.onInit = func(ctl *Controller) {
+				for _, at := range []float64{10, 20, 500} {
+					ctl.SetTimer(at, int64(at))
+				}
+			}
+			s.onTimer = tc.onTimer
+			res := runTimeline(t, Config{Trace: trace(job(0, 0, 1, tc.exec)), Penalty: 300}, s)
+			segs := res.JobSegments(0)
+			if len(segs) != len(tc.want) {
+				t.Fatalf("segments: %+v", segs)
+			}
+			for i, w := range tc.want {
+				g := segs[i]
+				if g.State != w.state || math.Abs(g.From-w.from) > 1e-9 || math.Abs(g.To-w.to) > 1e-9 || g.Yield != w.yield {
+					t.Errorf("segment %d = %+v, want %+v", i, g, w)
+				}
+			}
+		})
 	}
 }
 
