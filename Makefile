@@ -45,12 +45,13 @@ profile-fed:
 	$(GO) test -run '^$$' -bench '^BenchmarkFederationParallel$$/^members=8$$/^workers=1$$' -benchtime 20x -o $(PROFILE_DIR)/dfrs-fed.test -cpuprofile $(PROFILE_DIR)/dfrs-fed.prof .
 	@$(call layer_table,$(PROFILE_DIR)/dfrs-fed.test,$(PROFILE_DIR)/dfrs-fed.prof,$(MCB_LAYERS) repro/internal/federation)
 
-# Short fuzz sessions over the four input parsers, one after another: the
-# SWF loader and the three dfrs-serve submission parsers (topology spec,
-# campaign grid, uploaded trace). Their seed corpora also run as normal
-# tests in `make test`.
+# Short fuzz sessions over the five input parsers, one after another: the
+# SWF loader, the node-inventory parser and the three dfrs-serve submission
+# parsers (topology spec, campaign grid, uploaded trace). Their seed
+# corpora also run as normal tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/swf/
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeSpecs$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s ./internal/federation/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamTrace$$' -fuzztime 10s ./internal/workload/

@@ -61,9 +61,6 @@ func FromSpecs(r io.Reader) (dims []string, specs []NodeSpec, err error) {
 				if perr != nil {
 					return nil, nil, fmt.Errorf("cluster: line %d: bad cost %q: %v", lineno, cv, perr)
 				}
-				if !(cost >= 0) { // negated so NaN is rejected too
-					return nil, nil, fmt.Errorf("cluster: line %d: negative cost rate %g", lineno, cost)
-				}
 				spec.Cost = cost
 				sawCost = true
 				continue
@@ -83,13 +80,8 @@ func FromSpecs(r io.Reader) (dims []string, specs []NodeSpec, err error) {
 		if len(specs) > 0 && len(spec.Caps) != specs[0].Dims() {
 			return nil, nil, fmt.Errorf("cluster: line %d: %d dimensions, previous nodes have %d", lineno, len(spec.Caps), specs[0].Dims())
 		}
-		if spec.Caps[DimCPU] <= 0 || spec.Caps[DimMem] <= 0 {
-			return nil, nil, fmt.Errorf("cluster: line %d: non-positive cpu/mem capacity %v", lineno, spec.Caps)
-		}
-		for k := MinDims; k < len(spec.Caps); k++ {
-			if spec.Caps[k] < 0 {
-				return nil, nil, fmt.Errorf("cluster: line %d: negative capacity %g in dimension %d", lineno, spec.Caps[k], k)
-			}
+		if err := spec.check(CanonicalDimName); err != nil {
+			return nil, nil, fmt.Errorf("cluster: line %d: %w", lineno, err)
 		}
 		specs = append(specs, spec)
 	}

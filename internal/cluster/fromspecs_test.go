@@ -50,6 +50,13 @@ func TestFromSpecsErrorsNameLines(t *testing.T) {
 		{"0 1\n", "line 1"},               // non-positive cpu
 		{"1 1 cost=-2\n", "line 1"},       // negative cost
 		{"1 1 cost=nan\n", "line 1"},      // NaN cost
+		{"1 1 cost=+Inf\n", "line 1"},     // infinite cost
+		{"NaN 1\n", "line 1"},             // NaN cpu
+		{"+Inf 1\n", "line 1"},            // infinite cpu
+		{"1 -Inf\n", "line 1"},            // infinite memory
+		{"1 1 NaN\n", "line 1"},           // NaN extra dimension
+		{"1 1 Inf\n", "line 1"},           // infinite extra dimension
+		{"1 1 -1\n", "line 1"},            // negative extra dimension
 		{"1 1 cost=1 cost=2\n", "line 1"}, // duplicate cost
 		{"1 1 cost=1 2\n", "line 1"},      // capacity after cost
 		{"# dims: cpu\n1 1\n", "line 1"},  // too few dim names
@@ -143,4 +150,26 @@ func TestBimodalPricedProfile(t *testing.T) {
 			t.Fatalf("profile %q unexpectedly priced", name)
 		}
 	}
+}
+
+// FuzzNodeSpecs: FromSpecs never panics, and every inventory it accepts
+// holds nodes of one dimension count that pass the cluster's own check.
+func FuzzNodeSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"# dims: cpu mem gpu\n2 2 0 cost=3\n1 1 1\n",
+		"1 1\n4 2 cost=9\n",
+		"NaN 1\n", "+Inf 1\n", "1 1 cost=+Inf\n", "1e308 1e308\n", "1 1 -0\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		dims, specs, err := FromSpecs(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		cl := NewWithDims(dims, specs)
+		if err := cl.Validate(); err != nil {
+			t.Fatalf("accepted inventory %q fails Validate: %v", in, err)
+		}
+	})
 }
