@@ -116,7 +116,7 @@ func TestShedBoundMatchesRigidOverflow(t *testing.T) {
 		at := itemOrderTotals(jobs, dropped, d)
 		nodes := make([]cluster.NodeSpec, 4)
 		for i := range nodes {
-			nodes[i] = cluster.UnitD(d)
+			nodes[i] = cluster.Unit().WithDims(d, 1)
 		}
 		for k := cluster.DimMem; k < d; k++ {
 			// The bound, TotalCap + Eps, lands within a rounding of at.

@@ -148,7 +148,7 @@ func TestImproveAverageYieldFillsLeftover(t *testing.T) {
 		JobSpec{ID: 1, Tasks: 1, CPUNeed: 0.6, MemReq: 0.2},
 	)
 	alloc := &Allocation{Nodes: [][]int{{0}, {1}}, Yields: []float64{0.5, 0.5}}
-	ImproveAverageYield(js, alloc, nodes(2), nil)
+	ImproveAverageYieldRanked(js, alloc, nodes(2), nil, nil)
 	if alloc.Yields[0] != 1 || alloc.Yields[1] != 1 {
 		t.Errorf("yields = %v, want both 1", alloc.Yields)
 	}
@@ -163,7 +163,7 @@ func TestImproveAverageYieldPrefersCheapJobs(t *testing.T) {
 	)
 	alloc := &Allocation{Nodes: [][]int{{0}, {0}}, Yields: []float64{0.5, 0.5}}
 	// Used: 0.2*0.5 + 0.8*0.5 = 0.5, headroom 0.5.
-	ImproveAverageYield(js, alloc, nodes(1), nil)
+	ImproveAverageYieldRanked(js, alloc, nodes(1), nil, nil)
 	if alloc.Yields[0] != 1 {
 		t.Errorf("cheap job yield = %v, want 1", alloc.Yields[0])
 	}
@@ -182,7 +182,7 @@ func TestImproveAverageYieldRespectsEligibility(t *testing.T) {
 	alloc := &Allocation{Nodes: [][]int{{0}, {0}}, Yields: []float64{0.5, 0.5}}
 	// Only job 1 may be raised; headroom is 0.5 so job 1 reaches 1.0 and
 	// job 0 stays put.
-	ImproveAverageYield(js, alloc, nodes(1), func(j JobSpec) bool { return j.ID == 1 })
+	ImproveAverageYieldRanked(js, alloc, nodes(1), func(j JobSpec) bool { return j.ID == 1 }, nil)
 	if alloc.Yields[0] != 0.5 {
 		t.Errorf("ineligible job raised to %v", alloc.Yields[0])
 	}
@@ -211,7 +211,7 @@ func TestImproveAverageYieldSoundnessProperty(t *testing.T) {
 			return true
 		}
 		before := slices.Clone(alloc.Yields)
-		ImproveAverageYield(js, alloc, nodes(n), nil)
+		ImproveAverageYieldRanked(js, alloc, nodes(n), nil, nil)
 		for i, y := range alloc.Yields {
 			if y < before[i]-1e-12 || y > 1+1e-9 {
 				return false
@@ -228,19 +228,19 @@ func TestYieldForStretchTarget(t *testing.T) {
 	s := StretchState{FlowTime: 600, VirtualTime: 300}
 	// Target equal to current estimate sustained: (600+T)/S = 300+yT.
 	// With T=600, S=2: y = ((1200)/2 - 300)/600 = 0.5.
-	if y := YieldForStretchTarget(s, 600, 2); math.Abs(y-0.5) > 1e-12 {
+	if y := yieldForStretchTarget(s, 600, 2); math.Abs(y-0.5) > 1e-12 {
 		t.Errorf("y = %v, want 0.5", y)
 	}
 	// Very generous target: negative solution clamps to the floor.
-	if y := YieldForStretchTarget(s, 600, 100); y != MinProgressYield {
+	if y := yieldForStretchTarget(s, 600, 100); y != MinProgressYield {
 		t.Errorf("y = %v, want floor %v", y, MinProgressYield)
 	}
 	// Impossible target: clamps to 1.
-	if y := YieldForStretchTarget(s, 600, 1.0001); y != 1 {
+	if y := yieldForStretchTarget(s, 600, 1.0001); y != 1 {
 		t.Errorf("y = %v, want 1", y)
 	}
 	// New job (vt=0): some finite yield in range.
-	y := YieldForStretchTarget(StretchState{FlowTime: 0, VirtualTime: 0}, 600, 2)
+	y := yieldForStretchTarget(StretchState{FlowTime: 0, VirtualTime: 0}, 600, 2)
 	if y < MinProgressYield || y > 1 {
 		t.Errorf("new-job yield = %v outside [0.01, 1]", y)
 	}
@@ -253,7 +253,7 @@ func TestYieldForStretchTargetAlgebraProperty(t *testing.T) {
 		s := StretchState{FlowTime: float64(flow16), VirtualTime: 1 + float64(vt16)}
 		T := 600.0
 		target := 1 + float64(target8%50)
-		y := YieldForStretchTarget(s, T, target)
+		y := yieldForStretchTarget(s, T, target)
 		if y < MinProgressYield || y > 1 {
 			return false
 		}
@@ -297,15 +297,6 @@ func TestMinEstimatedStretchMemoryBound(t *testing.T) {
 	}
 }
 
-func TestEstStretch(t *testing.T) {
-	if s := (StretchState{FlowTime: 100, VirtualTime: 0}).EstStretch(); !math.IsInf(s, 1) {
-		t.Errorf("zero virtual time stretch = %v, want +Inf", s)
-	}
-	if s := (StretchState{FlowTime: 100, VirtualTime: 50}).EstStretch(); s != 2 {
-		t.Errorf("stretch = %v, want 2", s)
-	}
-}
-
 func TestValidateAllocationCatchesViolations(t *testing.T) {
 	js := specs(JobSpec{ID: 0, Tasks: 2, CPUNeed: 0.8, MemReq: 0.6})
 	alloc := &Allocation{Nodes: [][]int{{0, 0}}, Yields: []float64{0.5}} // both tasks on one node: memory 1.2
@@ -333,7 +324,7 @@ func TestValidateAllocationCatchesViolations(t *testing.T) {
 
 func TestTotalCPUNeed(t *testing.T) {
 	j := JobSpec{Tasks: 4, CPUNeed: 0.25}
-	if got := j.TotalCPUNeed(); got != 1 {
-		t.Errorf("TotalCPUNeed = %v, want 1", got)
+	if got := j.totalCPUNeed(); got != 1 {
+		t.Errorf("totalCPUNeed = %v, want 1", got)
 	}
 }

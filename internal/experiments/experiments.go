@@ -124,23 +124,6 @@ func (c Config) BaseTraces() ([]*workload.Trace, error) {
 	return traces, nil
 }
 
-// ScaledTraces rescales every base trace to every configured load level,
-// reproducing the paper's 900 scaled instances (100 traces x 9 loads) at
-// the configured scale. The returned map is load -> traces.
-func (c Config) ScaledTraces(base []*workload.Trace) (map[float64][]*workload.Trace, error) {
-	out := make(map[float64][]*workload.Trace, len(c.Loads))
-	for _, load := range c.Loads {
-		for _, tr := range base {
-			scaled, err := tr.ScaleToLoad(load)
-			if err != nil {
-				return nil, err
-			}
-			out[load] = append(out[load], scaled)
-		}
-	}
-	return out, nil
-}
-
 // Instance is the outcome of running a set of algorithms on one trace: the
 // per-algorithm maximum bounded stretch, the derived degradation factors,
 // and the Table II cost summaries.

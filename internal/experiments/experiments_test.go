@@ -46,25 +46,6 @@ func TestBaseTracesDeterministic(t *testing.T) {
 	}
 }
 
-func TestScaledTracesHitTargets(t *testing.T) {
-	cfg := tinyConfig()
-	base, err := cfg.BaseTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := cfg.ScaledTraces(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, load := range cfg.Loads {
-		for _, tr := range scaled[load] {
-			if got := tr.OfferedLoad(); math.Abs(got-load) > 1e-9 {
-				t.Errorf("trace %s load %v, want %v", tr.Name, got, load)
-			}
-		}
-	}
-}
-
 func TestFigure1EndToEnd(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Algorithms = []string{"easy", "greedy-pmtn", "dynmcb8-per"}

@@ -87,17 +87,3 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 	}
 	return members, nil
 }
-
-// FormatTopology renders members back into the notation ParseTopology
-// accepts, always in the explicit "mix:nodes" form.
-func FormatTopology(members []MemberSpec) string {
-	parts := make([]string, len(members))
-	for i, m := range members {
-		mix := m.Mix
-		if mix == "" {
-			mix = cluster.ProfileUniform
-		}
-		parts[i] = fmt.Sprintf("%s:%d", mix, m.Nodes)
-	}
-	return strings.Join(parts, "+")
-}

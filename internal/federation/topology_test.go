@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestParseTopologyRejectsHugeNodeCounts(t *testing.T) {
 // FuzzParseTopology: no spec panics the parser, and an accepted spec
 // yields 1..MaxMembers members, each of a registered, normalized mix with
 // a positive node count, at most cluster.MaxNodes nodes in total, that
-// survive a FormatTopology round trip.
+// survive a formatTopology round trip.
 func FuzzParseTopology(f *testing.F) {
 	for _, spec := range []string{
 		"2", "1", "0", "-3", "20000000", "1000000000000000000", "99999999999999999999",
@@ -99,9 +100,23 @@ func FuzzParseTopology(f *testing.F) {
 		if total > cluster.MaxNodes {
 			t.Fatalf("%q: %d nodes in total", spec, total)
 		}
-		back, err := ParseTopology(FormatTopology(members), defNodes, "")
+		back, err := ParseTopology(formatTopology(members), defNodes, "")
 		if err != nil || !reflect.DeepEqual(back, members) {
 			t.Fatalf("%q: round trip gave %+v, %v; want %+v", spec, back, err, members)
 		}
 	})
+}
+
+// formatTopology renders members back into the notation ParseTopology
+// accepts, always in the explicit "mix:nodes" form.
+func formatTopology(members []MemberSpec) string {
+	parts := make([]string, len(members))
+	for i, m := range members {
+		mix := m.Mix
+		if mix == "" {
+			mix = cluster.ProfileUniform
+		}
+		parts[i] = fmt.Sprintf("%s:%d", mix, m.Nodes)
+	}
+	return strings.Join(parts, "+")
 }

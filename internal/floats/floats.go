@@ -5,29 +5,12 @@
 // this package with a shared absolute tolerance.
 package floats
 
-import "math"
-
 // Eps is the shared absolute tolerance for resource and time comparisons.
 const Eps = 1e-9
-
-// AlmostEqual reports whether a and b differ by at most Eps.
-func AlmostEqual(a, b float64) bool {
-	return math.Abs(a-b) <= Eps
-}
-
-// AlmostEqualTol reports whether a and b differ by at most tol.
-func AlmostEqualTol(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
 
 // LessEq reports whether a <= b up to Eps.
 func LessEq(a, b float64) bool {
 	return a <= b+Eps
-}
-
-// Less reports whether a < b by more than Eps.
-func Less(a, b float64) bool {
-	return a < b-Eps
 }
 
 // GreaterEq reports whether a >= b up to Eps.
@@ -40,13 +23,8 @@ func Greater(a, b float64) bool {
 	return a > b+Eps
 }
 
-// IsZero reports whether a is within Eps of zero.
-func IsZero(a float64) bool {
-	return math.Abs(a) <= Eps
-}
-
-// Clamp returns v restricted to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
+// clamp returns v restricted to the closed interval [lo, hi].
+func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
 	}
@@ -57,7 +35,7 @@ func Clamp(v, lo, hi float64) float64 {
 }
 
 // Clamp01 returns v restricted to [0, 1].
-func Clamp01(v float64) float64 { return Clamp(v, 0, 1) }
+func Clamp01(v float64) float64 { return clamp(v, 0, 1) }
 
 // NonNeg returns v, snapping tiny negative rounding residue to exactly zero.
 // Values below -Eps are returned unchanged so genuine sign errors stay

@@ -6,24 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAlmostEqual(t *testing.T) {
-	cases := []struct {
-		a, b float64
-		want bool
-	}{
-		{1, 1, true},
-		{1, 1 + Eps/2, true},
-		{1, 1 + 2*Eps, false},
-		{0, 0, true},
-		{-1, 1, false},
-	}
-	for _, c := range cases {
-		if got := AlmostEqual(c.a, c.b); got != c.want {
-			t.Errorf("AlmostEqual(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestOrderingHelpers(t *testing.T) {
 	if !LessEq(1, 1) || !LessEq(1, 1+Eps/2) || LessEq(1+2*Eps, 1) {
 		t.Error("LessEq boundary behaviour wrong")
@@ -31,26 +13,20 @@ func TestOrderingHelpers(t *testing.T) {
 	if !GreaterEq(1, 1) || GreaterEq(1, 1+2*Eps) {
 		t.Error("GreaterEq boundary behaviour wrong")
 	}
-	if Less(1, 1) || !Less(1, 1+2*Eps) {
-		t.Error("Less boundary behaviour wrong")
-	}
 	if Greater(1, 1) || !Greater(1+2*Eps, 1) {
 		t.Error("Greater boundary behaviour wrong")
-	}
-	if !IsZero(Eps/2) || IsZero(2*Eps) {
-		t.Error("IsZero boundary behaviour wrong")
 	}
 }
 
 func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 1); got != 1 {
-		t.Errorf("Clamp(5,0,1) = %v", got)
+	if got := clamp(5, 0, 1); got != 1 {
+		t.Errorf("clamp(5,0,1) = %v", got)
 	}
-	if got := Clamp(-5, 0, 1); got != 0 {
-		t.Errorf("Clamp(-5,0,1) = %v", got)
+	if got := clamp(-5, 0, 1); got != 0 {
+		t.Errorf("clamp(-5,0,1) = %v", got)
 	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Errorf("Clamp(0.5,0,1) = %v", got)
+	if got := clamp(0.5, 0, 1); got != 0.5 {
+		t.Errorf("clamp(0.5,0,1) = %v", got)
 	}
 	if got := Clamp01(1.5); got != 1 {
 		t.Errorf("Clamp01(1.5) = %v", got)
@@ -69,7 +45,7 @@ func TestNonNeg(t *testing.T) {
 	}
 }
 
-// Property: Clamp always lands inside [lo, hi] and is idempotent.
+// Property: clamp always lands inside [lo, hi] and is idempotent.
 func TestClampProperty(t *testing.T) {
 	f := func(v, a, b float64) bool {
 		if math.IsNaN(v) || math.IsNaN(a) || math.IsNaN(b) {
@@ -79,25 +55,26 @@ func TestClampProperty(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		c := Clamp(v, lo, hi)
-		return c >= lo && c <= hi && Clamp(c, lo, hi) == c
+		c := clamp(v, lo, hi)
+		return c >= lo && c <= hi && clamp(c, lo, hi) == c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the ordering helpers are consistent — for any pair exactly one
-// of Less / AlmostEqual-ish overlap / Greater classifications applies.
+// Property: the ordering helpers are consistent — no pair is both greater
+// and less (Greater(b, a)) by more than Eps, and each strict relation
+// implies its tolerant one.
 func TestOrderingConsistencyProperty(t *testing.T) {
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		if Less(a, b) && Greater(a, b) {
+		if Greater(b, a) && Greater(a, b) {
 			return false
 		}
-		if Less(a, b) && !LessEq(a, b) {
+		if Greater(b, a) && !LessEq(a, b) {
 			return false
 		}
 		if Greater(a, b) && !GreaterEq(a, b) {

@@ -179,7 +179,7 @@ func gammaPDF(x, shape, scale float64) float64 {
 }
 
 // RawStream draws raw jobs one at a time, consuming variates in exactly
-// the order GenerateRaw does, so a job-by-job pipeline (generate, annotate,
+// the order generateRaw does, so a job-by-job pipeline (generate, annotate,
 // encode, discard) produces the same jobs as batch generation without ever
 // holding the whole trace. Submits are nondecreasing by construction.
 type RawStream struct {
@@ -205,9 +205,9 @@ func (s *RawStream) Next() RawJob {
 	return RawJob{Submit: s.t, Size: size, Runtime: s.p.sampleRuntime(s.r, size)}
 }
 
-// GenerateRaw draws njobs jobs (sizes, runtimes, arrival times) from the
+// generateRaw draws njobs jobs (sizes, runtimes, arrival times) from the
 // model.
-func (p Params) GenerateRaw(r *rng.Source, njobs int) ([]RawJob, error) {
+func (p Params) generateRaw(r *rng.Source, njobs int) ([]RawJob, error) {
 	s, err := p.Stream(r)
 	if err != nil {
 		return nil, err
@@ -262,7 +262,7 @@ func AnnotateJob(r *rng.Source, raw RawJob, id int) workload.Job {
 // GenerateTrace draws a complete annotated trace of njobs jobs for a
 // cluster of p.Nodes nodes.
 func GenerateTrace(r *rng.Source, p Params, njobs int, name string) (*workload.Trace, error) {
-	raw, err := p.GenerateRaw(r.Split("arrivals"), njobs)
+	raw, err := p.generateRaw(r.Split("arrivals"), njobs)
 	if err != nil {
 		return nil, err
 	}

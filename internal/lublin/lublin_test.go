@@ -23,11 +23,11 @@ func TestDefaultParamsValid(t *testing.T) {
 
 func TestGenerateRawDeterminism(t *testing.T) {
 	p := DefaultParams(128)
-	a, err := p.GenerateRaw(rng.New(5), 200)
+	a, err := p.generateRaw(rng.New(5), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.GenerateRaw(rng.New(5), 200)
+	b, err := p.generateRaw(rng.New(5), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGenerateRawDeterminism(t *testing.T) {
 
 func TestGenerateRawShapes(t *testing.T) {
 	p := DefaultParams(128)
-	jobs, err := p.GenerateRaw(rng.New(1), 5000)
+	jobs, err := p.generateRaw(rng.New(1), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestGenerateRawShapes(t *testing.T) {
 
 func TestSizesPreferPowersOfTwo(t *testing.T) {
 	p := DefaultParams(128)
-	jobs, err := p.GenerateRaw(rng.New(2), 5000)
+	jobs, err := p.generateRaw(rng.New(2), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestGenerateTraceLoadIsScalable(t *testing.T) {
 }
 
 func TestGenerateRawRejectsNegativeCount(t *testing.T) {
-	if _, err := DefaultParams(4).GenerateRaw(rng.New(1), -1); err == nil {
+	if _, err := DefaultParams(4).generateRaw(rng.New(1), -1); err == nil {
 		t.Error("negative job count accepted")
 	}
 }

@@ -62,12 +62,12 @@ type Quantile struct {
 	min, max    float64
 }
 
-// NewQuantile returns a sketch with the given number of log-spaced bins
+// newQuantile returns a sketch with the given number of log-spaced bins
 // over [lo, hi). It panics if lo <= 0, hi <= lo, or bins <= 0 (programming
 // errors, like stats.NewHistogram).
-func NewQuantile(lo, hi float64, bins int) *Quantile {
+func newQuantile(lo, hi float64, bins int) *Quantile {
 	if lo <= 0 || hi <= lo || bins <= 0 {
-		panic("online: NewQuantile requires 0 < lo < hi and bins > 0")
+		panic("online: newQuantile requires 0 < lo < hi and bins > 0")
 	}
 	return &Quantile{
 		lo:       lo,
@@ -225,8 +225,8 @@ type Aggregator struct {
 // log-spaced bins over [1, 1e6), ~0.7% relative tolerance).
 func New() *Aggregator {
 	return &Aggregator{
-		stretch:     NewQuantile(defaultLo, defaultHi, defaultBins),
-		degr:        NewQuantile(defaultLo, defaultHi, defaultBins),
+		stretch:     newQuantile(defaultLo, defaultHi, defaultBins),
+		degr:        newQuantile(defaultLo, defaultHi, defaultBins),
 		bestStretch: map[string]float64{},
 	}
 }

@@ -31,7 +31,7 @@ const quantileTol = 0.02
 // deterministic heavy-tailed sample, the shape stretch distributions take.
 func TestQuantileAgainstExact(t *testing.T) {
 	r := rng.New(99)
-	q := NewQuantile(1, 1e6, 2048)
+	q := newQuantile(1, 1e6, 2048)
 	xs := make([]float64, 0, 20000)
 	for i := 0; i < 20000; i++ {
 		// Log-normal-ish: 1 + exp(3u) spans [2, ~21] with a long tail.
@@ -50,7 +50,7 @@ func TestQuantileAgainstExact(t *testing.T) {
 
 // TestQuantileEdges pins the empty, single-value, and clamping behaviour.
 func TestQuantileEdges(t *testing.T) {
-	q := NewQuantile(1, 1e6, 64)
+	q := newQuantile(1, 1e6, 64)
 	if v := q.Value(0.5); v != 0 {
 		t.Fatalf("empty sketch quantile = %g, want 0", v)
 	}
@@ -62,7 +62,7 @@ func TestQuantileEdges(t *testing.T) {
 	}
 	// Out-of-range values clamp into the edge bins but quantiles stay
 	// inside the observed range.
-	q2 := NewQuantile(1, 10, 8)
+	q2 := newQuantile(1, 10, 8)
 	q2.Add(0.25)
 	q2.Add(1e9)
 	if lo := q2.Value(0.25); lo != 0.25 {

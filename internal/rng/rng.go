@@ -97,9 +97,9 @@ func (r *Source) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Normal returns a standard normal deviate using the polar Box–Muller
+// normal returns a standard normal deviate using the polar Box–Muller
 // transform.
-func (r *Source) Normal() float64 {
+func (r *Source) normal() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
@@ -112,7 +112,7 @@ func (r *Source) Normal() float64 {
 
 // Lognormal returns exp(N(mu, sigma^2)).
 func (r *Source) Lognormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Normal())
+	return math.Exp(mu + sigma*r.normal())
 }
 
 // Gamma returns a gamma-distributed value with shape alpha and scale beta
@@ -133,7 +133,7 @@ func (r *Source) Gamma(alpha, beta float64) float64 {
 	d := alpha - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
-		x := r.Normal()
+		x := r.normal()
 		v := 1 + c*x
 		if v <= 0 {
 			continue

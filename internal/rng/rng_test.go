@@ -127,12 +127,12 @@ func TestExpMoments(t *testing.T) {
 
 func TestNormalMoments(t *testing.T) {
 	r := New(12)
-	mean, variance := moments(200000, r.Normal)
+	mean, variance := moments(200000, r.normal)
 	if math.Abs(mean) > 0.01 {
-		t.Errorf("Normal mean = %v, want 0", mean)
+		t.Errorf("normal mean = %v, want 0", mean)
 	}
 	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("Normal variance = %v, want 1", variance)
+		t.Errorf("normal variance = %v, want 1", variance)
 	}
 }
 

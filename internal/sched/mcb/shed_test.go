@@ -193,7 +193,7 @@ func (w *defCheck) definition(ctl *sim.Controller) (set []int, alloc *core.Alloc
 		if over {
 			w.t.Fatalf("t=%v: the allocator accepted %v, which the rigid bound rules out", now, set)
 		}
-		core.ImproveAverageYield(specs, alloc, c, nil)
+		core.ImproveAverageYieldRanked(specs, alloc, c, nil, nil)
 		return set, alloc, tried, ruledOut
 	}
 	return nil, &core.Allocation{}, tried, ruledOut

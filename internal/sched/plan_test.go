@@ -29,7 +29,7 @@ func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body
 				ctl.Start(jid, nodes)
 			}
 		}
-		ApplyGreedyYields(ctl)
+		new(YieldScratch).Apply(ctl)
 	}
 	s := &probe{
 		onArrival: func(ctl *sim.Controller, jid int) {

@@ -321,13 +321,6 @@ func (ys *YieldScratch) Apply(ctl *sim.Controller) {
 	ApplyYieldsList(ctl, running, alloc.Yields)
 }
 
-// ApplyGreedyYields is YieldScratch.Apply with one-shot buffers, for
-// callers off the hot path.
-func ApplyGreedyYields(ctl *sim.Controller) {
-	var ys YieldScratch
-	ys.Apply(ctl)
-}
-
 // ApplyYields sets each listed running job's yield, zeroing all of them
 // first so that no intermediate state oversubscribes a node's CPU.
 func ApplyYields(ctl *sim.Controller, yields map[int]float64) {

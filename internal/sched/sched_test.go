@@ -184,7 +184,7 @@ func TestApplyGreedyYields(t *testing.T) {
 		ctl.Start(0, []int{0})
 		ctl.Start(1, []int{0})
 		ctl.Start(2, []int{1})
-		ApplyGreedyYields(ctl)
+		new(YieldScratch).Apply(ctl)
 		// Uniform base yield = 1/max(1, 2.0) = 0.5. Jobs 0 and 1 fill
 		// node 0 exactly; job 2 is cheapest and is raised to 1.0.
 		if y := ctl.Job(0).Yield; math.Abs(y-0.5) > 1e-9 {

@@ -102,10 +102,3 @@ func (h *hub) close() {
 	}
 	h.subs = map[chan Event]struct{}{}
 }
-
-// Dropped reports how many frames were lost to slow subscribers.
-func (h *hub) Dropped() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
-}

@@ -26,6 +26,13 @@ import (
 	"repro/internal/metrics/online"
 )
 
+// Dropped reports how many frames were lost to slow subscribers.
+func (h *hub) Dropped() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dropped
+}
+
 // testGridJSON expands to algorithms x traces cells of small lublin runs.
 func testGridJSON(name string, algorithms []string, traces, jobs int) []byte {
 	g := map[string]any{

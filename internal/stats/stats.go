@@ -38,13 +38,6 @@ func (s *Stream) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddAll records every value in xs.
-func (s *Stream) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations recorded so far.
 func (s *Stream) N() int { return s.n }
 
@@ -59,9 +52,9 @@ func (s *Stream) Mean() float64 {
 	return s.mean
 }
 
-// Var returns the unbiased sample variance, or NaN with fewer than two
+// variance returns the unbiased sample variance, or NaN with fewer than two
 // observations.
-func (s *Stream) Var() float64 {
+func (s *Stream) variance() float64 {
 	if s.n < 2 {
 		return math.NaN()
 	}
@@ -75,7 +68,7 @@ func (s *Stream) Std() float64 {
 	if s.n == 1 {
 		return 0
 	}
-	return math.Sqrt(s.Var())
+	return math.Sqrt(s.variance())
 }
 
 // Min returns the smallest observation, or NaN with none.
@@ -136,20 +129,16 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Histogram counts observations into nbins equal-width bins over [lo, hi).
 // Finite observations outside the range (and infinities) are clamped into
 // the first or last bin. NaN observations carry no position at all — the
 // float-to-int conversion of a NaN bin index is implementation-defined, so
 // counting them would land in an arbitrary bin — and are dropped from the
-// bins and the total; DroppedNaN reports how many were seen.
+// bins and the total.
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
 	total  int
-	nan    int
 }
 
 // NewHistogram creates a histogram with nbins bins spanning [lo, hi).
@@ -170,7 +159,6 @@ func NewHistogram(lo, hi float64, nbins int) *Histogram {
 // implementation-defined for values beyond the int range.
 func (h *Histogram) Add(x float64) {
 	if math.IsNaN(x) {
-		h.nan++
 		return
 	}
 	idx := 0
@@ -186,20 +174,3 @@ func (h *Histogram) Add(x float64) {
 // Total returns the number of observations recorded (NaN observations are
 // not recorded).
 func (h *Histogram) Total() int { return h.total }
-
-// DroppedNaN returns the number of NaN observations dropped by Add.
-func (h *Histogram) DroppedNaN() int { return h.nan }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}

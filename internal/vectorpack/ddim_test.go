@@ -236,7 +236,7 @@ func TestPackSoundnessPropertyDDim(t *testing.T) {
 		d := 2 + int(dd%3) // 2, 3 or 4 dimensions
 		items := randomItemsD(r, int(nItems%48), d, 0.8)
 		for _, nodes := range [][]cluster.NodeSpec{
-			{cluster.UnitD(d)}, // degenerate single node
+			{cluster.Unit().WithDims(d, 1)}, // degenerate single node
 			randomNodesD(r, n, d),
 		} {
 			for _, p := range allPackers {
@@ -267,7 +267,7 @@ func TestPackTrivialFeasibilityPropertyDDim(t *testing.T) {
 		items := randomItemsD(r, n, d, 0.99)
 		nodes := make([]cluster.NodeSpec, n)
 		for i := range nodes {
-			nodes[i] = cluster.UnitD(d)
+			nodes[i] = cluster.Unit().WithDims(d, 1)
 		}
 		for _, p := range allPackers {
 			if _, ok := p.Pack(items, nodes); n > 0 && !ok {
@@ -291,10 +291,10 @@ func TestPackGPURouting(t *testing.T) {
 		cluster.Spec(1, 1, 0),
 	}
 	items := []Item{
-		NewItem(0.2, 0.2, 1.0), // gpu task
-		NewItem(0.2, 0.2, 1.0), // gpu task
-		NewItem(0.2, 0.2, 0),
-		NewItem(0.2, 0.2, 0),
+		newItem(0.2, 0.2, 1.0), // gpu task
+		newItem(0.2, 0.2, 1.0), // gpu task
+		newItem(0.2, 0.2, 0),
+		newItem(0.2, 0.2, 0),
 	}
 	for _, p := range allPackers {
 		assign, ok := p.Pack(items, nodes)
@@ -309,7 +309,7 @@ func TestPackGPURouting(t *testing.T) {
 		}
 	}
 	// Three GPU tasks exceed the single 2-GPU node.
-	over := append(items[:2:2], NewItem(0.1, 0.1, 1.0))
+	over := append(items[:2:2], newItem(0.1, 0.1, 1.0))
 	for _, p := range allPackers {
 		if _, ok := p.Pack(over, nodes); ok {
 			t.Errorf("%s: packed 3 gpu units onto a 2-gpu cluster", p.Name())
@@ -325,7 +325,7 @@ func TestNormalizedSortingOnUnequalBins(t *testing.T) {
 	// Mean caps: cpu 4, mem 1. Item A (cpu 0.9) normalizes to 0.225;
 	// item B (mem 0.8) normalizes to 0.8 and must sort first.
 	nodes := []cluster.NodeSpec{cluster.Spec(6, 1), cluster.Spec(2, 1)}
-	items := []Item{NewItem(0.9, 0.1), NewItem(0.1, 0.8)}
+	items := []Item{newItem(0.9, 0.1), newItem(0.1, 0.8)}
 	norm := meanCaps(nodes)
 	if norm[0] != 4 || norm[1] != 1 {
 		t.Fatalf("meanCaps = %v", norm)
@@ -350,7 +350,7 @@ func TestMeanCapsZeroDimension(t *testing.T) {
 	if norm[2] != 1 {
 		t.Fatalf("zero-capacity dimension normalizes by %g, want 1", norm[2])
 	}
-	items := []Item{NewItem(0.5, 0.5, 0)}
+	items := []Item{newItem(0.5, 0.5, 0)}
 	for _, p := range allPackers {
 		assign, ok := p.Pack(items, nodes)
 		if !ok || assign[0] < 0 {

@@ -101,12 +101,6 @@ type Item struct {
 	Req cluster.Vec
 }
 
-// NewItem builds an item from explicit requirements; the first two are CPU
-// and memory.
-func NewItem(req ...float64) Item {
-	return Item{Req: append(cluster.Vec(nil), req...)}
-}
-
 // Packer places items onto the given nodes (one NodeSpec per bin). Pack
 // returns, for each item, the node index it was assigned to, and reports
 // whether every item was placed. A failed pack returns a nil assignment.

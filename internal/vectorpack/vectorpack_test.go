@@ -8,6 +8,12 @@ import (
 	"repro/internal/cluster"
 )
 
+// newItem builds an item from explicit requirements; the first two are CPU
+// and memory.
+func newItem(req ...float64) Item {
+	return Item{Req: append(cluster.Vec(nil), req...)}
+}
+
 var allPackers = []Packer{MCB8{}, FirstFitDecreasing{}, BestFitDecreasing{}}
 
 func TestPackEmpty(t *testing.T) {
@@ -21,7 +27,7 @@ func TestPackEmpty(t *testing.T) {
 
 func TestPackSingleItem(t *testing.T) {
 	for _, p := range allPackers {
-		assign, ok := p.Pack([]Item{NewItem(0.5, 0.5)}, cluster.Uniform(1))
+		assign, ok := p.Pack([]Item{newItem(0.5, 0.5)}, cluster.Uniform(1))
 		if !ok || assign[0] != 0 {
 			t.Errorf("%s: single item pack: %v %v", p.Name(), assign, ok)
 		}
@@ -30,7 +36,7 @@ func TestPackSingleItem(t *testing.T) {
 
 func TestPackInfeasible(t *testing.T) {
 	// Three items of 0.6 memory cannot share two nodes.
-	items := []Item{NewItem(0.1, 0.6), NewItem(0.1, 0.6), NewItem(0.1, 0.6)}
+	items := []Item{newItem(0.1, 0.6), newItem(0.1, 0.6), newItem(0.1, 0.6)}
 	for _, p := range allPackers {
 		if _, ok := p.Pack(items, cluster.Uniform(2)); ok {
 			t.Errorf("%s: infeasible instance packed", p.Name())
@@ -39,7 +45,7 @@ func TestPackInfeasible(t *testing.T) {
 }
 
 func TestPackZeroNodes(t *testing.T) {
-	items := []Item{NewItem(0.1, 0.1)}
+	items := []Item{newItem(0.1, 0.1)}
 	for _, p := range allPackers {
 		if _, ok := p.Pack(items, nil); ok {
 			t.Errorf("%s: packed onto zero nodes", p.Name())
@@ -54,7 +60,7 @@ func TestPackZeroNodes(t *testing.T) {
 func TestPackItemLargerThanAnyNode(t *testing.T) {
 	// A 0.9 x 0.9 item cannot fit a cluster of 0.5-capacity thin nodes.
 	thin := []cluster.NodeSpec{cluster.Spec(0.5, 0.5), cluster.Spec(0.5, 0.5)}
-	items := []Item{NewItem(0.9, 0.9)}
+	items := []Item{newItem(0.9, 0.9)}
 	for _, p := range allPackers {
 		if _, ok := p.Pack(items, thin); ok {
 			t.Errorf("%s: oversized item placed on thin nodes", p.Name())
@@ -74,8 +80,8 @@ func TestPackItemLargerThanAnyNode(t *testing.T) {
 func TestPackExactFit(t *testing.T) {
 	// Four 0.5x0.5 items exactly fill two nodes.
 	items := []Item{
-		NewItem(0.5, 0.5), NewItem(0.5, 0.5),
-		NewItem(0.5, 0.5), NewItem(0.5, 0.5),
+		newItem(0.5, 0.5), newItem(0.5, 0.5),
+		newItem(0.5, 0.5), newItem(0.5, 0.5),
 	}
 	for _, p := range allPackers {
 		assign, ok := p.Pack(items, cluster.Uniform(2))
@@ -94,7 +100,7 @@ func TestPackExactFit(t *testing.T) {
 func TestPackUnequalBins(t *testing.T) {
 	items := make([]Item, 6)
 	for i := range items {
-		items[i] = NewItem(0.5, 0.5)
+		items[i] = newItem(0.5, 0.5)
 	}
 	het := []cluster.NodeSpec{cluster.Spec(2, 2), cluster.Spec(1, 1)}
 	for _, p := range allPackers {
@@ -118,10 +124,10 @@ func TestPackUnequalBins(t *testing.T) {
 // items that only fit pairwise complementary.
 func TestMCB8Balancing(t *testing.T) {
 	items := []Item{
-		NewItem(0.9, 0.1), // cpu-heavy
-		NewItem(0.9, 0.1),
-		NewItem(0.1, 0.9), // mem-heavy
-		NewItem(0.1, 0.9),
+		newItem(0.9, 0.1), // cpu-heavy
+		newItem(0.9, 0.1),
+		newItem(0.1, 0.9), // mem-heavy
+		newItem(0.1, 0.9),
 	}
 	assign, ok := MCB8{}.Pack(items, cluster.Uniform(2))
 	if !ok {
@@ -140,7 +146,7 @@ func TestMCB8Balancing(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	items := []Item{NewItem(0.7, 0.2), NewItem(0.5, 0.2)}
+	items := []Item{newItem(0.7, 0.2), newItem(0.5, 0.2)}
 	if err := Validate(items, []int{0, 0}, cluster.Uniform(1)); err == nil {
 		t.Error("CPU oversubscription not detected")
 	}
@@ -153,7 +159,7 @@ func TestValidate(t *testing.T) {
 	if err := Validate(items, []int{0, 5}, cluster.Uniform(2)); err == nil {
 		t.Error("out-of-range node not detected")
 	}
-	memItems := []Item{NewItem(0.1, 0.8), NewItem(0.1, 0.8)}
+	memItems := []Item{newItem(0.1, 0.8), newItem(0.1, 0.8)}
 	if err := Validate(memItems, []int{0, 0}, cluster.Uniform(1)); err == nil {
 		t.Error("memory oversubscription not detected")
 	}
@@ -169,7 +175,7 @@ func TestValidate(t *testing.T) {
 func randomItems(r *rand.Rand, n int, maxReq float64) []Item {
 	items := make([]Item, n)
 	for i := range items {
-		items[i] = NewItem(
+		items[i] = newItem(
 			r.Float64()*maxReq,
 			0.01+r.Float64()*(maxReq-0.01),
 		)

@@ -141,9 +141,9 @@ func (t *Trace) SortBySubmit() {
 	sort.SliceStable(t.Jobs, func(a, b int) bool { return t.Jobs[a].Submit < t.Jobs[b].Submit })
 }
 
-// Span returns the time between the first and last submission, in seconds.
+// span returns the time between the first and last submission, in seconds.
 // A trace with fewer than two jobs has span 0.
-func (t *Trace) Span() float64 {
+func (t *Trace) span() float64 {
 	if len(t.Jobs) < 2 {
 		return 0
 	}
@@ -162,8 +162,8 @@ func (t *Trace) Dims() int {
 	return d
 }
 
-// TotalWork returns the total CPU work of the trace in node-seconds.
-func (t *Trace) TotalWork() float64 {
+// totalWork returns the total CPU work of the trace in node-seconds.
+func (t *Trace) totalWork() float64 {
 	var w float64
 	for _, j := range t.Jobs {
 		w += j.Work()
@@ -176,11 +176,11 @@ func (t *Trace) TotalWork() float64 {
 // definition the paper uses when scaling traces to levels 0.1 through 0.9.
 // It returns 0 for traces whose span is zero.
 func (t *Trace) OfferedLoad() float64 {
-	span := t.Span()
+	span := t.span()
 	if span <= 0 || t.Nodes == 0 {
 		return 0
 	}
-	return t.TotalWork() / (span * float64(t.Nodes))
+	return t.totalWork() / (span * float64(t.Nodes))
 }
 
 // Clone returns a deep copy of the trace, including each job's extra

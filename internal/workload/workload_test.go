@@ -70,12 +70,12 @@ func TestTraceValidate(t *testing.T) {
 
 func TestSpanAndWork(t *testing.T) {
 	tr := sampleTrace()
-	if got := tr.Span(); got != 120 {
-		t.Errorf("Span = %v, want 120", got)
+	if got := tr.span(); got != 120 {
+		t.Errorf("span = %v, want 120", got)
 	}
 	// 2*100 + 1*200 + 4*50 = 600 node-seconds.
-	if got := tr.TotalWork(); got != 600 {
-		t.Errorf("TotalWork = %v, want 600", got)
+	if got := tr.totalWork(); got != 600 {
+		t.Errorf("totalWork = %v, want 600", got)
 	}
 	// load = 600 / (120 * 4) = 1.25
 	if got := tr.OfferedLoad(); math.Abs(got-1.25) > 1e-12 {
