@@ -10,6 +10,7 @@
 package dfrs_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -309,6 +310,41 @@ func BenchmarkSingleSimulation(b *testing.B) {
 				res, err := dfrs.Run(context.Background(), scaled, alg, dfrs.WithPenalty(experiments.PaperPenalty))
 				if err != nil {
 					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Events()), "events")
+			}
+		})
+	}
+}
+
+// BenchmarkStreamReplay replays one encoded 20k-job, 128-node synthetic
+// trace from bytes through RunStream with a job sink, as the repository
+// benchmark's stream-replay workload does at 80k jobs: greedy-pmtn (the
+// greedy placement and preemption layer) and easy (the batch baseline over
+// the same engine and parser). `make profile-greedy` profiles the
+// greedy-pmtn row.
+func BenchmarkStreamReplay(b *testing.B) {
+	const jobs = 20_000
+	tr, err := dfrs.SyntheticTrace(dfrs.SyntheticOptions{Seed: 1, Nodes: 128, Jobs: jobs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var data bytes.Buffer
+	if err := tr.Encode(&data); err != nil {
+		b.Fatal(err)
+	}
+	for _, alg := range []string{"greedy-pmtn", "easy"} {
+		b.Run(alg, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sunk := 0
+				res, err := dfrs.RunStream(context.Background(), bytes.NewReader(data.Bytes()), alg,
+					dfrs.WithPenalty(experiments.PaperPenalty),
+					dfrs.WithJobSink(func(dfrs.JobResult) { sunk++ }))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sunk != jobs {
+					b.Fatalf("%d of %d jobs reached the sink", sunk, jobs)
 				}
 				b.ReportMetric(float64(res.Events()), "events")
 			}

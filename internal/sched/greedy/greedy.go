@@ -49,6 +49,7 @@ type Greedy struct {
 	priority sched.PriorityFunc
 
 	yields sched.YieldScratch // yield-rule buffers, reused across events
+	place  sched.PlaceScratch // placement buffers, reused across events
 }
 
 // Name implements sim.Scheduler.
@@ -89,7 +90,7 @@ func (g *Greedy) OnTimer(ctl *sim.Controller, tag int64) {
 // forced admission with preemption otherwise (preemptive variants), or
 // postpones it with backoff (plain GREEDY).
 func (g *Greedy) admit(ctl *sim.Controller, jid int) {
-	if nodes, ok := sched.GreedyPlace(ctl, jid); ok {
+	if nodes, ok := g.place.Place(ctl, jid); ok {
 		ctl.Start(jid, nodes)
 		return
 	}
@@ -171,7 +172,7 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 			ctl.Pause(cand)
 		}
 	}
-	nodes, ok := sched.GreedyPlace(ctl, jid)
+	nodes, ok := g.place.Place(ctl, jid)
 	if !ok {
 		// The feasibility arithmetic above guarantees placement; reaching
 		// this branch indicates an internal inconsistency.
@@ -193,7 +194,7 @@ func (g *Greedy) resumePaused(ctl *sim.Controller) {
 			// event must wait for a future event.
 			continue
 		}
-		nodes, ok := sched.GreedyPlace(ctl, jid)
+		nodes, ok := g.place.Place(ctl, jid)
 		if !ok {
 			continue
 		}

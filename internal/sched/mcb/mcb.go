@@ -119,6 +119,7 @@ type Scheduler struct {
 	prioBuf []float64
 	memBuf  []float64
 	greedy  sched.YieldScratch
+	place   sched.PlaceScratch
 }
 
 // New builds a DYNMCB8-family scheduler from options.
@@ -180,7 +181,7 @@ func (s *Scheduler) OnArrival(ctl *sim.Controller, jid int) {
 		return
 	}
 	if s.opt.ASAP {
-		if nodes, ok := sched.GreedyPlace(ctl, jid); ok {
+		if nodes, ok := s.place.Place(ctl, jid); ok {
 			ctl.Start(jid, nodes)
 			s.greedy.Apply(ctl)
 		}

@@ -7,13 +7,16 @@
 // Node selection is split into feasibility filtering (the paper's hard
 // memory/GPU constraints, implemented here) and scoring (which feasible
 // node to prefer), the placement-objective layer of internal/placement.
-// GreedyPlace scores with the run's objective, defaulting to
+// PlaceScratch.Place scores with the run's objective, defaulting to
 // placement.LoadBalance — the least relatively CPU-loaded feasible node,
-// exactly the published GREEDY. Two selections implement it: on the
-// paper's two-resource platform with no objective configured, each task's
-// least-loaded query is answered from the simulator's node index in
-// O(log n); everywhere else one placement.Pick scan runs under the
-// objective.
+// exactly the published GREEDY. Two selections implement it. On the
+// paper's two-resource platform with no objective configured, memory is the
+// only hard constraint, so the job fits exactly when the nodes' memory
+// slots, counted with the task loop's own arithmetic, cover its tasks; a
+// job that does not fit is rejected on that count without touching the
+// simulator's node index, and one that does has each task's least-loaded
+// query answered from the index in O(log n). Everywhere else one
+// placement.Pick scan runs under the objective.
 package sched
 
 import (
@@ -58,16 +61,33 @@ func SpecOf(ctl *sim.Controller, jid int) core.JobSpec {
 	}
 }
 
-// GreedyPlace computes the GREEDY placement of Section III-A for job jid:
-// each task in turn goes to the feasible node — enough free capacity in
-// every rigid dimension (memory, and GPU etc. on multi-resource clusters),
-// net of the tasks already placed in this call — that scores best under
-// the run's placement objective, by default placement.LoadBalance: the
-// lowest relative CPU load (load divided by the node's CPU capacity; on
-// the paper's unit-capacity platform exactly the raw load). It returns one
-// node per task, or ok=false if some task cannot be placed. Cluster state
-// is not modified.
-func GreedyPlace(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
+// PlaceScratch holds the buffers of GREEDY placement so schedulers placing
+// at every event can reuse them. The zero value is ready to use.
+type PlaceScratch struct {
+	nodes []int // the placement Place returns
+	// Per-node rows of the tasks the indexed path has placed in the
+	// current call: their memory, their CPU load and whether any landed
+	// there. Only the nodes in touched are non-zero, and Place resets them
+	// before it returns.
+	planMem, planLoad []float64
+	inPlan            []bool
+	touched           []int
+}
+
+// Place computes the GREEDY placement of Section III-A for job jid: each
+// task in turn goes to the feasible node — enough free capacity in every
+// rigid dimension (memory, and GPU etc. on multi-resource clusters), net of
+// the tasks already placed in this call — that scores best under the run's
+// placement objective, by default placement.LoadBalance: the lowest
+// relative CPU load (load divided by the node's CPU capacity; on the
+// paper's unit-capacity platform exactly the raw load). It returns one node
+// per task, or ok=false if some task cannot be placed. Cluster state is not
+// modified.
+//
+// The returned slice may be ps's own buffer: it is valid until the next
+// Place on ps. Controller.Start and Resume copy the list, so passing it
+// straight to them is safe; a caller that keeps it longer must copy it.
+func (ps *PlaceScratch) Place(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
 	j := ctl.JobRef(jid)
 	obj := ctl.Objective()
 	if obj == nil {
@@ -76,7 +96,7 @@ func GreedyPlace(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
 			// (every greedy admission and every DYNMCB8-ASAP arrival):
 			// answer each task's LoadBalance query from the node index in
 			// O(log n) instead of scanning.
-			return greedyPlace2Indexed(ctl, j)
+			return ps.place2Indexed(ctl, j)
 		}
 		obj = placement.LoadBalance{}
 	}
@@ -119,57 +139,78 @@ func greedyPlaceScan(ctl *sim.Controller, j *workload.Job, obj placement.Objecti
 	return nodes, true
 }
 
-// greedyPlace2Indexed answers the two-resource LoadBalance scan from the
-// simulator's node index. Tasks already placed in this call are overlaid
-// onto the touched leaves with exactly the expressions of the scan — free
-// memory minus accumulated plan memory, (load plus accumulated plan load)
-// over capacity — and every touched leaf is restored to its live values
-// before returning, on success and on failure alike. Untouched leaves
-// already hold the scan's values (a zero plan term only flips the sign of
-// a zero, which no comparison observes), and ArgminLoad applies the same
-// strict-improvement, ascending-node-order selection as placement.Pick, so
-// the chosen nodes are identical bit for bit (TestIndexedPlacementMatchesScan).
-func greedyPlace2Indexed(ctl *sim.Controller, j *workload.Job) ([]int, bool) {
-	t := ctl.NodeIndex()
+// place2Indexed answers the two-resource LoadBalance scan from the
+// simulator's node index. On this path memory is the only hard constraint,
+// and a node that fits a task keeps fitting the next one until its own
+// memory runs out, so the task loop fails exactly when the per-node memory
+// slots add up to fewer than the job's tasks: memSlotsCover decides that
+// first, and a job that cannot fit returns without reading the index.
+//
+// Tasks already placed in this call are overlaid onto the touched leaves
+// with exactly the expressions of the scan — free memory minus accumulated
+// plan memory, (load plus accumulated plan load) over capacity — and every
+// touched leaf is restored to its live values before returning. Untouched
+// leaves already hold the scan's values (a zero plan term only flips the
+// sign of a zero, which no comparison observes), and ArgminLoad applies the
+// same strict-improvement, ascending-node-order selection as
+// placement.Pick, so the chosen nodes are identical bit for bit
+// (TestIndexedPlacementMatchesScan).
+func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]int, bool) {
 	memReq := j.MemReq
 	cpuNeed := j.CPUNeed
-	nodes := make([]int, 0, j.Tasks)
-	var touched []int
-	var planMem, planLoad []float64 // parallel to touched
-	ok := true
+	if !memSlotsCover(ctl, memReq, j.Tasks) {
+		return nil, false
+	}
+	if n := ctl.NumNodes(); len(ps.inPlan) < n {
+		ps.planMem = make([]float64, n)
+		ps.planLoad = make([]float64, n)
+		ps.inPlan = make([]bool, n)
+	}
+	t := ctl.NodeIndex()
+	ps.nodes = ps.nodes[:0]
 	for task := 0; task < j.Tasks; task++ {
 		node := t.ArgminLoad(memReq)
 		if node < 0 {
-			ok = false
-			break
+			// memSlotsCover counted a slot for every task with the same
+			// arithmetic the leaves hold; reaching this branch indicates
+			// an internal inconsistency.
+			panic("sched: indexed placement found no node after its memory slot count covered the job")
 		}
-		nodes = append(nodes, node)
-		ti := -1
-		for i, tn := range touched {
-			if tn == node {
-				ti = i
-				break
-			}
+		ps.nodes = append(ps.nodes, node)
+		if !ps.inPlan[node] {
+			ps.inPlan[node] = true
+			ps.touched = append(ps.touched, node)
 		}
-		if ti < 0 {
-			ti = len(touched)
-			touched = append(touched, node)
-			planMem = append(planMem, 0)
-			planLoad = append(planLoad, 0)
-		}
-		planMem[ti] += memReq
-		planLoad[ti] += cpuNeed
+		ps.planMem[node] += memReq
+		ps.planLoad[node] += cpuNeed
 		t.Set(node,
-			(ctl.CPULoad(node)+planLoad[ti])/ctl.CPUCap(node),
-			ctl.FreeMem(node)-planMem[ti])
+			(ctl.CPULoad(node)+ps.planLoad[node])/ctl.CPUCap(node),
+			ctl.FreeMem(node)-ps.planMem[node])
 	}
-	for _, node := range touched {
+	for _, node := range ps.touched {
 		t.Set(node, ctl.CPULoad(node)/ctl.CPUCap(node), ctl.FreeMem(node))
+		ps.planMem[node], ps.planLoad[node], ps.inPlan[node] = 0, 0, false
 	}
-	if !ok {
-		return nil, false
+	ps.touched = ps.touched[:0]
+	return ps.nodes, true
+}
+
+// memSlotsCover reports whether the nodes' free memory holds tasks tasks of
+// memReq each. A node's slots are counted with the placement loop's own
+// rule — it takes another task while memReq fits under floats.LessEq in its
+// free memory net of the tasks it already took, summed one memReq at a
+// time — which is exactly the leaf value the loop's ArgminLoad tests.
+// (sim.TaskSlots' floor((cap+Eps)/dem) differs at the boundary.) Counting
+// stops as soon as the tasks are covered.
+func memSlotsCover(ctl *sim.Controller, memReq float64, tasks int) bool {
+	need := tasks
+	for node, n := 0, ctl.NumNodes(); node < n && need > 0; node++ {
+		free := ctl.FreeMem(node)
+		for acc := 0.0; need > 0 && floats.LessEq(memReq, free-acc); acc += memReq {
+			need--
+		}
 	}
-	return nodes, true
+	return need <= 0
 }
 
 // plan is a placement scan's view of the platform for placement.State:

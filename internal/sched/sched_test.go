@@ -69,7 +69,7 @@ func TestGreedyPlacePicksLowestLoad(t *testing.T) {
 		ctl.SetYield(0, 1)
 		// Job 1 must avoid node 2 (load 0.8) and pick node 0 (first
 		// zero-load node).
-		nodes, ok := GreedyPlace(ctl, 1)
+		nodes, ok := new(PlaceScratch).Place(ctl, 1)
 		if !ok {
 			t.Fatal("placement failed")
 		}
@@ -88,7 +88,7 @@ func TestGreedyPlaceRespectsMemory(t *testing.T) {
 	buildSim(t, tr, func(ctl *sim.Controller) {
 		ctl.Start(0, []int{0, 1})
 		ctl.SetYield(0, 1)
-		if _, ok := GreedyPlace(ctl, 1); ok {
+		if _, ok := new(PlaceScratch).Place(ctl, 1); ok {
 			t.Error("placement succeeded despite full memory")
 		}
 	})
@@ -108,7 +108,7 @@ func TestGreedyPlaceMultiTaskSpreads(t *testing.T) {
 			}
 			buildSimCluster(t, tr, c.cl, func(ctl *sim.Controller) {
 				for jid := range tr.Jobs {
-					nodes, ok := GreedyPlace(ctl, jid)
+					nodes, ok := new(PlaceScratch).Place(ctl, jid)
 					if !ok {
 						t.Fatalf("job %d: placement failed", jid)
 					}
@@ -138,7 +138,7 @@ func TestGreedyPlaceStacksWhenMemoryAllows(t *testing.T) {
 			buildSimCluster(t, tr, c.cl, func(ctl *sim.Controller) {
 				ctl.Start(0, []int{1, 2, 3})
 				ctl.SetYield(0, 1)
-				nodes, ok := GreedyPlace(ctl, 1)
+				nodes, ok := new(PlaceScratch).Place(ctl, 1)
 				if !ok {
 					t.Fatal("placement failed")
 				}
