@@ -17,6 +17,8 @@
 package greedy
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -41,15 +43,22 @@ func init() {
 }
 
 // Greedy implements all three greedy variants; preempt and migrate select
-// the behaviour described in the package comment.
+// the behaviour described in the package comment. The trailing fields are
+// buffers reused across events: a greedy scheduler places, orders and
+// resumes jobs at every arrival and completion.
 type Greedy struct {
 	name     string
 	preempt  bool
 	migrate  bool
 	priority sched.PriorityFunc
 
-	yields sched.YieldScratch // yield-rule buffers, reused across events
-	place  sched.PlaceScratch // placement buffers, reused across events
+	yields    sched.YieldScratch    // yield rule
+	place     sched.PlaceScratch    // task placement
+	prio      sched.PriorityScratch // priority sort
+	order     []int                 // jids in priority order
+	freeRigid [][]float64           // forced admission: freeRigid[r][node], dimension r+1
+	markOrder []int                 // forced admission: marked candidates, in marking order
+	kept      []bool                // forced admission: kept[i] unmarks markOrder[i]
 }
 
 // Name implements sim.Scheduler.
@@ -79,7 +88,7 @@ func (g *Greedy) OnCompletion(ctl *sim.Controller, _ int) {
 // to reconsider (plain GREEDY only).
 func (g *Greedy) OnTimer(ctl *sim.Controller, tag int64) {
 	jid := int(tag)
-	if ctl.Job(jid).State != sim.Pending {
+	if ctl.JobState(jid) != sim.Pending {
 		return
 	}
 	g.admit(ctl, jid)
@@ -118,57 +127,58 @@ func rigidFeasible(freeRigid [][]float64, j workload.Job) bool {
 // when the job still fits without pausing them, then pause the remaining
 // marked jobs and start the incoming job.
 func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
-	ji := ctl.Job(jid)
-	now := ctl.Now()
+	j := ctl.JobRef(jid)
 	n := ctl.NumNodes()
 	d := ctl.NumDims()
-	freeRigid := make([][]float64, d-1)
-	for r := range freeRigid {
-		freeRigid[r] = make([]float64, n)
+	if len(g.freeRigid) != d-1 {
+		g.freeRigid = make([][]float64, d-1)
+	}
+	for r := range g.freeRigid {
+		g.freeRigid[r] = slices.Grow(g.freeRigid[r][:0], n)[:n]
 		for node := 0; node < n; node++ {
-			freeRigid[r][node] = ctl.FreeRes(node, r+1)
+			g.freeRigid[r][node] = ctl.FreeRes(node, r+1)
 		}
 	}
-	// addRigid adds (sign = +1) or removes (sign = -1) the job's rigid
-	// demands on its hosting nodes from the hypothetical free state.
-	addRigid := func(cj sim.JobInfo, sign float64) {
-		for _, node := range cj.Nodes {
-			for r := range freeRigid {
-				freeRigid[r][node] += sign * cj.Job.Demand(r+1)
+	fits := func() bool { return rigidFeasible(g.freeRigid, *j) }
+	// addRigid adds (sign = +1) or removes (sign = -1) running job cand's
+	// rigid demands on its hosting nodes from the hypothetical free state.
+	addRigid := func(cand int, sign float64) {
+		cj := ctl.JobRef(cand)
+		for _, node := range ctl.JobNodes(cand) {
+			for r, row := range g.freeRigid {
+				row[node] += sign * cj.Demand(r+1)
 			}
 		}
 	}
-	running := sched.ByPriority(ctl, ctl.JobsInState(sim.Running), now, g.priority, true)
+	g.order = ctl.AppendJobsInState(g.order[:0], sim.Running)
+	g.order = g.prio.ByPriority(g.order[:0], ctl, g.order, ctl.Now(), g.priority, true)
 
-	marked := map[int]bool{}
-	var markOrder []int
-	for _, cand := range running {
-		if rigidFeasible(freeRigid, ji.Job) {
+	g.markOrder = g.markOrder[:0]
+	for _, cand := range g.order {
+		if fits() {
 			break
 		}
-		addRigid(ctl.Job(cand), +1)
-		marked[cand] = true
-		markOrder = append(markOrder, cand)
+		addRigid(cand, +1)
+		g.markOrder = append(g.markOrder, cand)
 	}
-	if !rigidFeasible(freeRigid, ji.Job) {
+	if !fits() {
 		// Even pausing everything is not enough; cannot happen for valid
 		// traces (tasks <= nodes, demands <= 1) but keep the job pending
 		// rather than panicking on a malformed workload.
 		return
 	}
 	// Unmark in decreasing priority order whatever can stay running.
-	for i := len(markOrder) - 1; i >= 0; i-- {
-		cand := markOrder[i]
-		cj := ctl.Job(cand)
-		addRigid(cj, -1)
-		if rigidFeasible(freeRigid, ji.Job) {
-			delete(marked, cand)
-			continue
+	g.kept = slices.Grow(g.kept[:0], len(g.markOrder))[:len(g.markOrder)]
+	for i := len(g.markOrder) - 1; i >= 0; i-- {
+		cand := g.markOrder[i]
+		addRigid(cand, -1)
+		g.kept[i] = fits()
+		if !g.kept[i] {
+			addRigid(cand, +1)
 		}
-		addRigid(cj, +1)
 	}
-	for _, cand := range markOrder {
-		if marked[cand] {
+	for i, cand := range g.markOrder {
+		if !g.kept[i] {
 			ctl.Pause(cand)
 		}
 	}
@@ -187,9 +197,10 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 // reclassifies a same-event pause+resume to different nodes as a migration.
 func (g *Greedy) resumePaused(ctl *sim.Controller) {
 	now := ctl.Now()
-	paused := sched.ByPriority(ctl, ctl.JobsInState(sim.Paused), now, g.priority, false)
-	for _, jid := range paused {
-		if !g.migrate && ctl.Job(jid).LastPause == now {
+	g.order = ctl.AppendJobsInState(g.order[:0], sim.Paused)
+	g.order = g.prio.ByPriority(g.order[:0], ctl, g.order, now, g.priority, false)
+	for _, jid := range g.order {
+		if !g.migrate && ctl.JobLite(jid).LastPause == now {
 			// Without the migration capability a job paused at this very
 			// event must wait for a future event.
 			continue

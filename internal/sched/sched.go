@@ -20,7 +20,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -293,34 +295,42 @@ func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocati
 	return rank
 }
 
-// ByPriority returns jids sorted by the priority function evaluated at now:
-// ascending (pause candidates first) when asc is true, descending (resume
-// candidates first) otherwise. Infinite priorities sort last in ascending
-// order and first in descending order; ties break by jid for determinism.
-func ByPriority(ctl *sim.Controller, jids []int, now float64, pf PriorityFunc, asc bool) []int {
-	type jidPrio struct {
-		jid int
-		p   float64
+// PriorityScratch holds the sort buffer of ByPriority so schedulers
+// ordering jobs on every event can reuse it. The zero value is ready to
+// use.
+type PriorityScratch struct {
+	pairs []jidPrio
+}
+
+type jidPrio struct {
+	jid int
+	p   float64
+}
+
+// ByPriority appends jids to dst sorted by the priority function evaluated
+// at now: ascending (pause candidates first) when asc is true, descending
+// (resume candidates first) otherwise. Infinite priorities sort last in
+// ascending order and first in descending order; ties break by jid for
+// determinism. jids is read in full before dst is written, so dst may be
+// jids[:0].
+func (ps *PriorityScratch) ByPriority(dst []int, ctl *sim.Controller, jids []int, now float64, pf PriorityFunc, asc bool) []int {
+	ps.pairs = ps.pairs[:0]
+	for _, jid := range jids {
+		ps.pairs = append(ps.pairs, jidPrio{jid: jid, p: pf(now-ctl.JobRef(jid).Submit, ctl.VirtualTime(jid))})
 	}
-	pairs := make([]jidPrio, len(jids))
-	for i, jid := range jids {
-		pairs[i] = jidPrio{jid: jid, p: pf(now-ctl.JobRef(jid).Submit, ctl.VirtualTime(jid))}
-	}
-	sort.SliceStable(pairs, func(a, b int) bool {
-		pa, pb := pairs[a].p, pairs[b].p
-		if pa != pb {
-			if asc {
-				return pa < pb
+	slices.SortStableFunc(ps.pairs, func(a, b jidPrio) int {
+		if a.p != b.p {
+			if asc && a.p < b.p || !asc && a.p > b.p {
+				return -1
 			}
-			return pa > pb
+			return 1
 		}
-		return pairs[a].jid < pairs[b].jid
+		return cmp.Compare(a.jid, b.jid)
 	})
-	out := make([]int, len(pairs))
-	for i, pr := range pairs {
-		out[i] = pr.jid
+	for _, pr := range ps.pairs {
+		dst = append(dst, pr.jid)
 	}
-	return out
+	return dst
 }
 
 // YieldScratch holds the buffers of the GREEDY yield computation so

@@ -166,7 +166,7 @@ func TestByPriority(t *testing.T) {
 		// directly with known (flow, vt) combinations through Start and
 		// progress: here all virtual times are zero, so all priorities
 		// are infinite and the order must fall back to jid.
-		got := ByPriority(ctl, []int{2, 0, 1}, ctl.Now(), core.Priority, true)
+		got := new(PriorityScratch).ByPriority(nil, ctl, []int{2, 0, 1}, ctl.Now(), core.Priority, true)
 		if got[0] != 0 || got[1] != 1 || got[2] != 2 {
 			t.Errorf("infinite-priority tie-break by jid failed: %v", got)
 		}
