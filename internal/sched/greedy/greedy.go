@@ -57,8 +57,7 @@ type Greedy struct {
 	prio      sched.PriorityScratch // priority sort
 	order     []int                 // jids in priority order
 	freeRigid [][]float64           // forced admission: freeRigid[r][node], dimension r+1
-	markOrder []int                 // forced admission: marked candidates, in marking order
-	kept      []bool                // forced admission: kept[i] unmarks markOrder[i]
+	marked    []int                 // forced admission: marked candidates in marking order, -1 once unmarked
 }
 
 // Name implements sim.Scheduler.
@@ -153,13 +152,13 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 	g.order = ctl.AppendJobsInState(g.order[:0], sim.Running)
 	g.order = g.prio.ByPriority(g.order[:0], ctl, g.order, ctl.Now(), g.priority, true)
 
-	g.markOrder = g.markOrder[:0]
+	g.marked = g.marked[:0]
 	for _, cand := range g.order {
 		if fits() {
 			break
 		}
 		addRigid(cand, +1)
-		g.markOrder = append(g.markOrder, cand)
+		g.marked = append(g.marked, cand)
 	}
 	if !fits() {
 		// Even pausing everything is not enough; cannot happen for valid
@@ -168,17 +167,17 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 		return
 	}
 	// Unmark in decreasing priority order whatever can stay running.
-	g.kept = slices.Grow(g.kept[:0], len(g.markOrder))[:len(g.markOrder)]
-	for i := len(g.markOrder) - 1; i >= 0; i-- {
-		cand := g.markOrder[i]
+	for i := len(g.marked) - 1; i >= 0; i-- {
+		cand := g.marked[i]
 		addRigid(cand, -1)
-		g.kept[i] = fits()
-		if !g.kept[i] {
-			addRigid(cand, +1)
+		if fits() {
+			g.marked[i] = -1
+			continue
 		}
+		addRigid(cand, +1)
 	}
-	for i, cand := range g.markOrder {
-		if !g.kept[i] {
+	for _, cand := range g.marked {
+		if cand >= 0 {
 			ctl.Pause(cand)
 		}
 	}
