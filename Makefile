@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is what the repository considers green.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-module profile-mcb profile-fed fuzz ci
+.PHONY: all build vet fmt test race bench bench-module profile-mcb profile-fed profile-greedy fuzz ci
 
 all: build
 
@@ -44,6 +44,16 @@ profile-mcb:
 profile-fed:
 	$(GO) test -run '^$$' -bench '^BenchmarkFederationParallel$$/^members=8$$/^workers=1$$' -benchtime 20x -o $(PROFILE_DIR)/dfrs-fed.test -cpuprofile $(PROFILE_DIR)/dfrs-fed.prof .
 	@$(call layer_table,$(PROFILE_DIR)/dfrs-fed.test,$(PROFILE_DIR)/dfrs-fed.prof,$(MCB_LAYERS) repro/internal/federation)
+
+# BenchmarkStreamReplay's greedy-pmtn row, 5 iterations: greedy placement,
+# ordering and the yield rule (sched), the greedy scheduler itself
+# (sched/greedy), the average-yield heuristic (core), the event engine
+# (sim), its node index (sim/index) and the streaming trace parser
+# (workload).
+GREEDY_LAYERS := repro/internal/sched repro/internal/sched/greedy repro/internal/core repro/internal/sim repro/internal/sim/index repro/internal/workload
+profile-greedy:
+	$(GO) test -run '^$$' -bench '^BenchmarkStreamReplay$$/^greedy-pmtn$$' -benchtime 5x -o $(PROFILE_DIR)/dfrs-greedy.test -cpuprofile $(PROFILE_DIR)/dfrs-greedy.prof .
+	@$(call layer_table,$(PROFILE_DIR)/dfrs-greedy.test,$(PROFILE_DIR)/dfrs-greedy.prof,$(GREEDY_LAYERS))
 
 # Short fuzz sessions over the five input parsers, one after another: the
 # SWF loader, the node-inventory parser and the three dfrs-serve submission
