@@ -68,11 +68,10 @@ func SpecOf(ctl *sim.Controller, jid int) core.JobSpec {
 type PlaceScratch struct {
 	nodes []int // the placement Place returns
 	// Per-node rows of the tasks the indexed path has placed in the
-	// current call: their memory, their CPU load and whether any landed
-	// there. Only the nodes in touched are non-zero, and Place resets them
-	// before it returns.
+	// current call: their memory and their CPU load. Only the nodes in
+	// touched are non-zero (memory requirements are positive), and Place
+	// resets them before it returns.
 	planMem, planLoad []float64
-	inPlan            []bool
 	touched           []int
 }
 
@@ -163,10 +162,9 @@ func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]i
 	if !memSlotsCover(ctl, memReq, j.Tasks) {
 		return nil, false
 	}
-	if n := ctl.NumNodes(); len(ps.inPlan) < n {
+	if n := ctl.NumNodes(); len(ps.planMem) < n {
 		ps.planMem = make([]float64, n)
 		ps.planLoad = make([]float64, n)
-		ps.inPlan = make([]bool, n)
 	}
 	t := ctl.NodeIndex()
 	ps.nodes = ps.nodes[:0]
@@ -179,8 +177,7 @@ func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]i
 			panic("sched: indexed placement found no node after its memory slot count covered the job")
 		}
 		ps.nodes = append(ps.nodes, node)
-		if !ps.inPlan[node] {
-			ps.inPlan[node] = true
+		if ps.planMem[node] == 0 {
 			ps.touched = append(ps.touched, node)
 		}
 		ps.planMem[node] += memReq
@@ -191,7 +188,7 @@ func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]i
 	}
 	for _, node := range ps.touched {
 		t.Set(node, ctl.CPULoad(node)/ctl.CPUCap(node), ctl.FreeMem(node))
-		ps.planMem[node], ps.planLoad[node], ps.inPlan[node] = 0, 0, false
+		ps.planMem[node], ps.planLoad[node] = 0, 0
 	}
 	ps.touched = ps.touched[:0]
 	return ps.nodes, true
