@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is what the repository considers green.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-module profile-mcb profile-fed profile-greedy fuzz ci
+.PHONY: all build vet fmt test race bench bench-module profile-mcb profile-fed profile-greedy profile-scan fuzz ci
 
 all: build
 
@@ -54,6 +54,16 @@ GREEDY_LAYERS := repro/internal/sched repro/internal/sched/greedy repro/internal
 profile-greedy:
 	$(GO) test -run '^$$' -bench '^BenchmarkStreamReplay$$/^greedy-pmtn$$' -benchtime 5x -o $(PROFILE_DIR)/dfrs-greedy.test -cpuprofile $(PROFILE_DIR)/dfrs-greedy.prof .
 	@$(call layer_table,$(PROFILE_DIR)/dfrs-greedy.test,$(PROFILE_DIR)/dfrs-greedy.prof,$(GREEDY_LAYERS))
+
+# BenchmarkScanPlacement, both rows, 30 iterations: greedy-pmtn placing
+# every task through the placement.Pick scan (an objective, or a GPU
+# dimension). Layers: placement and the slot count (sched), the greedy
+# scheduler (sched/greedy), the objectives (placement), the average-yield
+# heuristic (core) and the event engine (sim).
+SCAN_LAYERS := repro/internal/sched repro/internal/sched/greedy repro/internal/placement repro/internal/core repro/internal/sim
+profile-scan:
+	$(GO) test -run '^$$' -bench '^BenchmarkScanPlacement$$' -benchtime 30x -o $(PROFILE_DIR)/dfrs-scan.test -cpuprofile $(PROFILE_DIR)/dfrs-scan.prof .
+	@$(call layer_table,$(PROFILE_DIR)/dfrs-scan.test,$(PROFILE_DIR)/dfrs-scan.prof,$(SCAN_LAYERS))
 
 # Short fuzz sessions over the five input parsers, one after another: the
 # SWF loader, the node-inventory parser and the three dfrs-serve submission

@@ -293,6 +293,43 @@ func BenchmarkCostObjectiveSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPlacement measures whole greedy-pmtn simulations whose every
+// placement takes the placement.Pick scan rather than the two-resource
+// node index: the priced bimodal mix under the cost objective, and the
+// three-resource gpu-uniform mix (30% of the jobs demand GPU) under the
+// default objective — the two paths campaign-hetero's greedy cells run.
+// `make profile-scan` profiles it.
+func BenchmarkScanPlacement(b *testing.B) {
+	for _, c := range []struct {
+		name, mix, objective string
+		gpuFrac              float64
+	}{
+		{"bimodal-priced-cost", "bimodal-priced", "cost", 0},
+		{"gpu-uniform", "gpu-uniform", "", 0.3},
+	} {
+		tr, err := dfrs.SyntheticTrace(dfrs.SyntheticOptions{Seed: 2, Nodes: 128, Jobs: 300, GPUFrac: c.gpuFrac})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr, err = tr.ScaleToLoad(0.7); err != nil {
+			b.Fatal(err)
+		}
+		opts := []dfrs.RunOption{dfrs.WithPenalty(experiments.PaperPenalty), dfrs.WithNodeMix(c.mix)}
+		if c.objective != "" {
+			opts = append(opts, dfrs.WithObjective(c.objective))
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := dfrs.Run(context.Background(), tr, "greedy-pmtn", opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Events()), "events")
+			}
+		})
+	}
+}
+
 // BenchmarkSingleSimulation measures the simulator's raw event-processing
 // throughput for each algorithm family on one mid-load trace.
 func BenchmarkSingleSimulation(b *testing.B) {

@@ -296,8 +296,9 @@ type EASY struct {
 	rel    []release // scratch: pending releases, reused across reservations
 }
 
-// release is one running job's contribution to the head reservation: at
-// time t it frees tasks head-eligible nodes.
+// release is one running job's contribution to a reservation: at time t
+// it frees tasks nodes (for EASY, the head-eligible ones; for
+// Conservative, all of them).
 type release struct {
 	t     float64
 	tasks int

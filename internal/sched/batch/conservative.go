@@ -1,8 +1,9 @@
 package batch
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -24,6 +25,12 @@ type Conservative struct {
 	pool    *nodePool
 	queue   []int
 	holding map[int][]int
+	// dispatchOnce's buffers: the running jids, their releases by time,
+	// and the availability profile (avail[i] nodes from times[i] on).
+	running []int
+	rel     []release
+	times   []float64
+	avail   []int
 }
 
 // Name implements sim.Scheduler.
@@ -75,84 +82,33 @@ func (c *Conservative) dispatchOnce(ctl *sim.Controller) bool {
 	now := ctl.Now()
 	// Build the availability profile from running jobs' exact finish
 	// times.
-	type release struct {
-		t     float64
-		tasks int
+	c.running = ctl.AppendJobsInState(c.running[:0], sim.Running)
+	c.rel = c.rel[:0]
+	for _, jid := range c.running {
+		c.rel = append(c.rel, release{t: ctl.EarliestFinish(jid), tasks: ctl.JobRef(jid).Tasks})
 	}
-	var rel []release
-	for _, jid := range ctl.JobsInState(sim.Running) {
-		rel = append(rel, release{t: ctl.EarliestFinish(jid), tasks: ctl.Job(jid).Job.Tasks})
-	}
-	sort.Slice(rel, func(a, b int) bool { return rel[a].t < rel[b].t })
+	slices.SortFunc(c.rel, func(a, b release) int { return cmp.Compare(a.t, b.t) })
 
-	// profile is a step function of available nodes over time, starting
-	// with the currently free pool and gaining nodes at each release. As
-	// jobs are (virtually) placed, capacity is subtracted from the
-	// affected steps.
-	times := []float64{now}
-	avail := []int{c.pool.freeCount()}
-	for _, r := range rel {
-		times = append(times, r.t)
-		avail = append(avail, avail[len(avail)-1]+r.tasks)
-	}
-	// earliestStart finds the first time at which `tasks` nodes are
-	// available continuously for `duration`.
-	earliestStart := func(tasks int, duration float64) (float64, int) {
-		for i := 0; i < len(times); i++ {
-			if avail[i] < tasks {
-				continue
-			}
-			end := times[i] + duration
-			feasible := true
-			for k := i + 1; k < len(times) && times[k] < end; k++ {
-				if avail[k] < tasks {
-					feasible = false
-					break
-				}
-			}
-			if feasible {
-				return times[i], i
-			}
-		}
-		// The profile ends with the full cluster free; always feasible at
-		// its last step.
-		return times[len(times)-1], len(times) - 1
-	}
-	// reserve subtracts capacity from every step the job overlaps,
-	// inserting a new step at its end so later steps regain the nodes.
-	reserve := func(startIdx int, tasks int, start, duration float64) {
-		end := start + duration
-		// Insert an end step if needed.
-		insertAt := len(times)
-		for k := startIdx; k < len(times); k++ {
-			if times[k] == end {
-				insertAt = -1
-				break
-			}
-			if times[k] > end {
-				insertAt = k
-				break
-			}
-		}
-		if insertAt >= 0 {
-			prev := avail[insertAt-1]
-			times = append(times[:insertAt], append([]float64{end}, times[insertAt:]...)...)
-			avail = append(avail[:insertAt], append([]int{prev}, avail[insertAt:]...)...)
-		}
-		for k := startIdx; k < len(times) && times[k] < end; k++ {
-			avail[k] -= tasks
-		}
+	// The profile is a step function of available nodes over time,
+	// starting with the currently free pool and gaining nodes at each
+	// release. As jobs are (virtually) placed, capacity is subtracted from
+	// the affected steps.
+	c.times = append(c.times[:0], now)
+	c.avail = append(c.avail[:0], c.pool.freeCount())
+	for _, r := range c.rel {
+		c.times = append(c.times, r.t)
+		c.avail = append(c.avail, c.avail[len(c.avail)-1]+r.tasks)
 	}
 
 	for qi, jid := range c.queue {
-		ji := ctl.Job(jid)
-		start, idx := earliestStart(ji.Job.Tasks, ji.Job.ExecTime)
+		j := ctl.JobRef(jid)
+		start, idx := c.earliestStart(j.Tasks, j.ExecTime)
 		if start <= now+1e-9 {
 			// Starts now: take real nodes and dispatch. On a heterogeneous
 			// cluster the profile is advisory; the eligibility check here is
 			// what keeps every start within per-node capacities.
-			if ji.Job.Tasks <= c.pool.freeFor(&ji.Job) {
-				nodes := c.pool.takeFor(&ji.Job, ji.Job.Tasks)
+			if j.Tasks <= c.pool.freeFor(j) {
+				nodes := c.pool.takeFor(j, j.Tasks)
 				ctl.Start(jid, nodes)
 				ctl.SetYield(jid, 1)
 				c.holding[jid] = nodes
@@ -160,7 +116,57 @@ func (c *Conservative) dispatchOnce(ctl *sim.Controller) bool {
 				return true
 			}
 		}
-		reserve(idx, ji.Job.Tasks, math.Max(start, now), ji.Job.ExecTime)
+		c.reserve(idx, j.Tasks, math.Max(start, now), j.ExecTime)
 	}
 	return false
+}
+
+// earliestStart finds the first profile step from which tasks nodes are
+// available continuously for duration, and returns its time and index.
+func (c *Conservative) earliestStart(tasks int, duration float64) (float64, int) {
+	times, avail := c.times, c.avail
+	for i := 0; i < len(times); i++ {
+		if avail[i] < tasks {
+			continue
+		}
+		end := times[i] + duration
+		feasible := true
+		for k := i + 1; k < len(times) && times[k] < end; k++ {
+			if avail[k] < tasks {
+				feasible = false
+				break
+			}
+		}
+		if feasible {
+			return times[i], i
+		}
+	}
+	// The profile ends with the full cluster free; always feasible at its
+	// last step.
+	return times[len(times)-1], len(times) - 1
+}
+
+// reserve subtracts capacity from every step the job overlaps, inserting a
+// new step at its end so later steps regain the nodes.
+func (c *Conservative) reserve(startIdx int, tasks int, start, duration float64) {
+	end := start + duration
+	// Insert an end step if needed.
+	insertAt := len(c.times)
+	for k := startIdx; k < len(c.times); k++ {
+		if c.times[k] == end {
+			insertAt = -1
+			break
+		}
+		if c.times[k] > end {
+			insertAt = k
+			break
+		}
+	}
+	if insertAt >= 0 {
+		c.times = slices.Insert(c.times, insertAt, end)
+		c.avail = slices.Insert(c.avail, insertAt, c.avail[insertAt-1])
+	}
+	for k := startIdx; k < len(c.times) && c.times[k] < end; k++ {
+		c.avail[k] -= tasks
+	}
 }

@@ -24,6 +24,7 @@ package gang
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/floats"
@@ -56,6 +57,10 @@ type Scheduler struct {
 	// placed[jid] = row index.
 	placed map[int]int
 	queue  []int
+	// applySlice's buffers: the running placed jids in ascending order
+	// and their yields.
+	jids   []int
+	yields []float64
 	// obj chooses among a row's feasible nodes: the run's objective, or
 	// placement.First (the published first-fit) when none is configured.
 	obj placement.Objective
@@ -318,16 +323,20 @@ func (g *Scheduler) admitQueued(ctl *sim.Controller) {
 // in the current event but whose OnCompletion has not fired yet still sit
 // in placed; they are skipped.
 func (g *Scheduler) applySlice(ctl *sim.Controller) {
-	yields := map[int]float64{}
-	for jid, ri := range g.placed {
-		if ctl.Job(jid).State != sim.Running {
-			continue
-		}
-		if len(g.rows) > 0 && ri == g.current {
-			yields[jid] = 1
-		} else {
-			yields[jid] = 0
+	g.jids = g.jids[:0]
+	for jid := range g.placed {
+		if ctl.JobState(jid) == sim.Running {
+			g.jids = append(g.jids, jid)
 		}
 	}
-	sched.ApplyYields(ctl, yields)
+	slices.Sort(g.jids)
+	g.yields = g.yields[:0]
+	for _, jid := range g.jids {
+		y := 0.0
+		if len(g.rows) > 0 && g.placed[jid] == g.current {
+			y = 1
+		}
+		g.yields = append(g.yields, y)
+	}
+	sched.ApplyYieldsList(ctl, g.jids, g.yields)
 }

@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/floats"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -52,12 +53,21 @@ type Greedy struct {
 	migrate  bool
 	priority sched.PriorityFunc
 
-	yields    sched.YieldScratch    // yield rule
-	place     sched.PlaceScratch    // task placement
-	prio      sched.PriorityScratch // priority sort
-	order     []int                 // jids in priority order
-	freeRigid [][]float64           // forced admission: freeRigid[r][node], dimension r+1
-	marked    []int                 // forced admission: marked candidates in marking order, -1 once unmarked
+	yields sched.YieldScratch    // yield rule
+	place  sched.PlaceScratch    // task placement
+	prio   sched.PriorityScratch // priority sort
+	order  []int                 // jids in priority order
+	// Forced admission: the rigid usage and free capacity the nodes would
+	// have with the marked candidates paused (used[r][node] and
+	// free[r][node] in dimension r+1), the job's rigid demands (dems[r] in
+	// dimension r+1), the marked candidates in marking order (-1 once
+	// unmarked), the marked candidates' tasks per node (indexMarked), and
+	// the usage rows saved while a candidate is tested for unmarking.
+	used, free            [][]float64
+	dems                  []float64
+	marked                []int
+	first, onNode, cursor []int
+	saved                 []float64
 }
 
 // Name implements sim.Scheduler.
@@ -110,54 +120,33 @@ func (g *Greedy) admit(ctl *sim.Controller, jid int) {
 	g.forceAdmission(ctl, jid)
 }
 
-// rigidFeasible reports whether the job's task count fits on the cluster
-// given per-node free capacity in every rigid dimension (freeRigid[r][node]
-// is dimension r+1). A node's task capacity is the minimum over the
-// dimensions the job actually demands; on the paper's platform this is
-// exactly the memory-only count of Section III-A.
-func rigidFeasible(freeRigid [][]float64, j workload.Job) bool {
-	free := func(node, k int) float64 { return freeRigid[k-1][node] }
-	return sim.TaskSlots(len(freeRigid[0]), j.Tasks, 1, len(freeRigid)+1, j.Demand, free) >= j.Tasks
-}
-
 // forceAdmission implements the GREEDY-PMTN admission procedure: mark
 // running jobs as pause candidates in increasing priority order until the
 // incoming job would fit, unmark candidates in decreasing priority order
 // when the job still fits without pausing them, then pause the remaining
 // marked jobs and start the incoming job.
+//
+// "Would fit" is the placement's own test, sched.SlotsCover, over the
+// rigid capacity the nodes would have free once the marked candidates are
+// paused, computed as the simulator will compute it (see release), so
+// the placement after the pauses succeeds exactly when the test said so.
 func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 	j := ctl.JobRef(jid)
-	n := ctl.NumNodes()
-	d := ctl.NumDims()
-	if len(g.freeRigid) != d-1 {
-		g.freeRigid = make([][]float64, d-1)
+	g.dems = g.dems[:0]
+	for k := 1; k < ctl.NumDims(); k++ {
+		g.dems = append(g.dems, j.Demand(k))
 	}
-	for r := range g.freeRigid {
-		g.freeRigid[r] = slices.Grow(g.freeRigid[r][:0], n)[:n]
-		for node := 0; node < n; node++ {
-			g.freeRigid[r][node] = ctl.FreeRes(node, r+1)
-		}
-	}
-	fits := func() bool { return rigidFeasible(g.freeRigid, *j) }
-	// addRigid adds (sign = +1) or removes (sign = -1) running job cand's
-	// rigid demands on its hosting nodes from the hypothetical free state.
-	addRigid := func(cand int, sign float64) {
-		cj := ctl.JobRef(cand)
-		for _, node := range ctl.JobNodes(cand) {
-			for r, row := range g.freeRigid {
-				row[node] += sign * cj.Demand(r+1)
-			}
-		}
-	}
+	fits := func() bool { return sched.SlotsCover(g.free, g.dems, j.Tasks) }
 	g.order = ctl.AppendJobsInState(g.order[:0], sim.Running)
 	g.order = g.prio.ByPriority(g.order[:0], ctl, g.order, ctl.Now(), g.priority, true)
 
+	g.liveRows(ctl)
 	g.marked = g.marked[:0]
 	for _, cand := range g.order {
 		if fits() {
 			break
 		}
-		addRigid(cand, +1)
+		g.pauseRows(ctl, cand)
 		g.marked = append(g.marked, cand)
 	}
 	if !fits() {
@@ -167,14 +156,30 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 		return
 	}
 	// Unmark in decreasing priority order whatever can stay running.
+	// (Un)marking a candidate only changes the rows of its own nodes.
+	// A candidate that must stay gets its nodes' saved rows back.
+	g.indexMarked(ctl)
 	for i := len(g.marked) - 1; i >= 0; i-- {
 		cand := g.marked[i]
-		addRigid(cand, -1)
+		g.saved = g.saved[:0]
+		for _, node := range ctl.JobNodes(cand) {
+			for _, used := range g.used {
+				g.saved = append(g.saved, used[node])
+			}
+		}
+		g.marked[i] = -1
+		g.rederive(ctl, cand)
 		if fits() {
-			g.marked[i] = -1
 			continue
 		}
-		addRigid(cand, +1)
+		g.marked[i] = cand
+		saved := g.saved
+		for _, node := range ctl.JobNodes(cand) {
+			for _, used := range g.used {
+				used[node], saved = saved[0], saved[1:]
+			}
+			g.setFree(ctl, node)
+		}
 	}
 	for _, cand := range g.marked {
 		if cand >= 0 {
@@ -183,11 +188,105 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 	}
 	nodes, ok := g.place.Place(ctl, jid)
 	if !ok {
-		// The feasibility arithmetic above guarantees placement; reaching
-		// this branch indicates an internal inconsistency.
+		// The rows above hold what Place reads after these pauses;
+		// reaching this branch indicates an internal inconsistency.
 		panic("greedy: forced admission found no placement after pausing candidates")
 	}
 	ctl.Start(jid, nodes)
+}
+
+// liveRows sets forced admission's rows to the simulator's current rigid
+// usage and free capacity.
+func (g *Greedy) liveRows(ctl *sim.Controller) {
+	n, rigid := ctl.NumNodes(), ctl.NumDims()-1
+	if len(g.used) != rigid {
+		g.used = make([][]float64, rigid)
+		g.free = make([][]float64, rigid)
+	}
+	for r := range g.used {
+		g.used[r] = slices.Grow(g.used[r][:0], n)[:n]
+		g.free[r] = slices.Grow(g.free[r][:0], n)[:n]
+		for node := 0; node < n; node++ {
+			g.used[r][node] = ctl.UsedRes(node, r+1)
+		}
+	}
+	for node := 0; node < n; node++ {
+		g.setFree(ctl, node)
+	}
+}
+
+// indexMarked lists, for every node, the marked candidates' tasks on it
+// in marking order: onNode[first[node]:first[node+1]] holds the index in
+// marked of each.
+func (g *Greedy) indexMarked(ctl *sim.Controller) {
+	n := ctl.NumNodes()
+	g.first = slices.Grow(g.first[:0], n+1)[:n+1]
+	clear(g.first)
+	for _, cand := range g.marked {
+		for _, node := range ctl.JobNodes(cand) {
+			g.first[node+1]++
+		}
+	}
+	for node := 0; node < n; node++ {
+		g.first[node+1] += g.first[node]
+	}
+	g.onNode = slices.Grow(g.onNode[:0], g.first[n])[:g.first[n]]
+	g.cursor = append(g.cursor[:0], g.first[:n]...)
+	for k, cand := range g.marked {
+		for _, node := range ctl.JobNodes(cand) {
+			g.onNode[g.cursor[node]] = k
+			g.cursor[node]++
+		}
+	}
+}
+
+// rederive recomputes the rows on cand's nodes from the simulator's
+// current usage, releasing the tasks of the candidates still marked there
+// in marking order. Adding a released demand back would not in general
+// restore the bits the simulator holds.
+func (g *Greedy) rederive(ctl *sim.Controller, cand int) {
+	for _, node := range ctl.JobNodes(cand) {
+		for r, used := range g.used {
+			used[node] = ctl.UsedRes(node, r+1)
+		}
+		for _, k := range g.onNode[g.first[node]:g.first[node+1]] {
+			if m := g.marked[k]; m >= 0 {
+				g.release(ctl.JobRef(m), node)
+			}
+		}
+		g.setFree(ctl, node)
+	}
+}
+
+// pauseRows applies running job cand's pause to the rows.
+func (g *Greedy) pauseRows(ctl *sim.Controller, cand int) {
+	cj := ctl.JobRef(cand)
+	for _, node := range ctl.JobNodes(cand) {
+		g.release(cj, node)
+		g.setFree(ctl, node)
+	}
+}
+
+// release removes one task of job j from node's usage rows as the
+// simulator's release does: the demand is subtracted and rounding residue
+// snapped to zero. Releases applied in the order ctl.Pause will run them,
+// followed by setFree, leave exactly the values Controller.FreeRes then
+// reports.
+func (g *Greedy) release(j *workload.Job, node int) {
+	for r, used := range g.used {
+		if dem := j.Demand(r + 1); dem != 0 {
+			used[node] = floats.NonNeg(used[node] - dem)
+		}
+	}
+}
+
+// setFree derives node's free rows from its usage rows as
+// Controller.FreeRes does: capacity minus usage, rounding residue snapped
+// to zero.
+func (g *Greedy) setFree(ctl *sim.Controller, node int) {
+	for r, used := range g.used {
+		g.free[r][node] = floats.NonNeg(ctl.ResCap(node, r+1) - used[node])
+	}
 }
 
 // resumePaused tries to resume paused jobs in decreasing priority order.

@@ -2,7 +2,8 @@ package sched
 
 // Tests for greedy placement's two selections — the node-index query on
 // the two-resource platform and the placement.Pick scan everywhere else —
-// and for capacity-aware greedy placement on heterogeneous clusters.
+// against refPlace, the definition they implement, and for capacity-aware
+// greedy placement on heterogeneous clusters.
 
 import (
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/floats"
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -19,12 +21,12 @@ import (
 // the homogeneous platform).
 func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body func(ctl *sim.Controller)) {
 	t.Helper()
-	buildSimObserved(t, tr, cl, nil, body)
+	buildSimConfig(t, sim.Config{Trace: tr, Cluster: cl}, body)
 }
 
-// buildSimObserved is buildSimCluster with an observer attached to the
-// run (nil for none).
-func buildSimObserved(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, obs sim.Observer, body func(ctl *sim.Controller)) {
+// buildSimConfig is buildSim over a full simulator configuration (trace,
+// cluster, observer, objective); invariant checking is always on.
+func buildSimConfig(t *testing.T, cfg sim.Config, body func(ctl *sim.Controller)) {
 	t.Helper()
 	done := false
 	// Finish every job so the simulation terminates: at each arrival and
@@ -48,7 +50,8 @@ func buildSimObserved(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, obs
 		},
 		onCompletion: func(ctl *sim.Controller, _ int) { finish(ctl) },
 	}
-	simulator, err := sim.New(sim.Config{Trace: tr, Cluster: cl, CheckInvariants: true, Observer: obs}, s)
+	cfg.CheckInvariants = true
+	simulator, err := sim.New(cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +61,61 @@ func buildSimObserved(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, obs
 	if !done {
 		t.Fatal("probe body never ran")
 	}
+}
+
+// refState is refPlace's placement.State: the live controller plus the
+// CPU load and rigid demands of the tasks placed so far in the call.
+type refState struct {
+	ctl   *sim.Controller
+	load  map[int]float64    // node -> CPU load
+	rigid map[[2]int]float64 // (node, k) -> demand in rigid dimension k
+}
+
+func (s *refState) Dims() int               { return s.ctl.NumDims() }
+func (s *refState) Cap(node, k int) float64 { return s.ctl.ResCap(node, k) }
+func (s *refState) CPULoad(node int) float64 {
+	return s.ctl.CPULoad(node) + s.load[node]
+}
+func (s *refState) Cost(node int) float64 { return s.ctl.NodeCost(node) }
+func (s *refState) Free(node, k int) float64 {
+	if k == 0 {
+		return s.ctl.CPUCap(node) - s.CPULoad(node)
+	}
+	return s.ctl.FreeRes(node, k) - s.rigid[[2]int{node, k}]
+}
+
+// refPlace is the definition of greedy placement that Place implements:
+// per task, placement.Pick under the run's objective (LoadBalance when none
+// is set) over the nodes whose free capacity, net of this call's tasks,
+// holds the task's demand under floats.LessEq in every rigid dimension.
+func refPlace(ctl *sim.Controller, jid int) ([]int, bool) {
+	j := ctl.JobRef(jid)
+	obj := ctl.Objective()
+	if obj == nil {
+		obj = placement.LoadBalance{}
+	}
+	st := &refState{ctl: ctl, load: map[int]float64{}, rigid: map[[2]int]float64{}}
+	feasible := func(node int) bool {
+		for k := 1; k < ctl.NumDims(); k++ {
+			if !floats.LessEq(j.Demand(k), st.Free(node, k)) {
+				return false
+			}
+		}
+		return true
+	}
+	var nodes []int
+	for task := 0; task < j.Tasks; task++ {
+		node := placement.Pick(ctl.NumNodes(), j.Demand, st, feasible, obj)
+		if node < 0 {
+			return nil, false
+		}
+		nodes = append(nodes, node)
+		st.load[node] += j.CPUNeed
+		for k := 1; k < ctl.NumDims(); k++ {
+			st.rigid[[2]int{node, k}] += j.Demand(k)
+		}
+	}
+	return nodes, true
 }
 
 // scanCase is one platform a greedy placement test runs on: the
@@ -161,10 +219,10 @@ func snapshotIndex(ctl *sim.Controller) indexSnapshot {
 // TestIndexedPlacementMatchesScan is the differential check of the node
 // index path: on random two-resource controller states with multi-task
 // jobs, Place (which answers from the index when no objective is
-// configured) must choose exactly the nodes of the placement.Pick scan
-// under LoadBalance, and the index must read the same before and after
-// every call — on success and on failure — and agree with the live
-// per-node values, so no tentative overlay leaks into the simulator.
+// configured) must choose exactly the nodes of refPlace under LoadBalance,
+// and the index must read the same before and after every call — on
+// success and on failure — and agree with the live per-node values, so no
+// tentative overlay leaks into the simulator.
 func TestIndexedPlacementMatchesScan(t *testing.T) {
 	var placed, failed int
 	for seed := int64(1); seed <= 60; seed++ {
@@ -179,7 +237,7 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = jb(i, 0, 1+r.Intn(min(6, n)), 0.05+0.95*r.Float64(), 0.05+0.45*r.Float64(), 10+100*r.Float64())
 		}
-		p, f := placeAgainstScan(t, seed, r, cluster.New(specs), jobs)
+		p, f := placeAgainstRef(t, seed, r, sim.Config{Cluster: cluster.New(specs)}, jobs)
 		placed += p
 		failed += f
 	}
@@ -188,15 +246,18 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 	}
 }
 
+// boundarySizes are memory and GPU demands whose running sums land on or a
+// rounding step off a node's capacity: tenths, quarters, thirds, sevenths,
+// halves, and quarters and halves raised by the few ulps that make
+// sim.TaskSlots' floor rule count one slot too many.
+var boundarySizes = []float64{0.1, 0.25, 1.0 / 3, 1.0 / 7, 0.5, 0.25000000025, 0.5000000005}
+
 // TestIndexedPlacementBoundary is the same differential check where the
-// slot pre-check is decided: memory sizes whose running sums land on or
-// a rounding step off a node's capacity (tenths, thirds, sevenths, and
-// quarters and halves raised by the few ulps that make sim.TaskSlots'
-// floor rule count one slot too many), node capacities they divide or
-// nearly divide, and jobs of up to one task per node, so most failures
-// come within one task of fitting.
+// slot pre-check is decided: boundary memory sizes (and 0.2, 0.3), node
+// capacities they divide or nearly divide, and jobs of up to one task per
+// node, so most failures come within one task of fitting.
 func TestIndexedPlacementBoundary(t *testing.T) {
-	mems := []float64{0.1, 0.2, 0.25, 0.3, 1.0 / 3, 1.0 / 7, 0.5, 0.25000000025, 0.5000000005}
+	mems := append([]float64{0.2, 0.3}, boundarySizes...)
 	caps := []float64{1, 1.5, 2}
 	var placed, failed int
 	for seed := int64(1); seed <= 3000; seed++ {
@@ -210,60 +271,120 @@ func TestIndexedPlacementBoundary(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = jb(i, 0, 1+r.Intn(n), 0.05+0.95*r.Float64(), mems[r.Intn(len(mems))], 10+100*r.Float64())
 		}
-		p, f := placeAgainstScan(t, seed, r, cluster.New(specs), jobs)
+		p, f := placeAgainstRef(t, seed, r, sim.Config{Cluster: cluster.New(specs)}, jobs)
 		placed += p
 		failed += f
 	}
 	if placed < 10000 || failed < 3000 {
 		t.Fatalf("battery too one-sided: %d placements, %d failures", placed, failed)
 	}
-	t.Logf("%d placements, %d failures matched the scan", placed, failed)
+	t.Logf("%d placements, %d failures matched the reference", placed, failed)
 }
 
-// placeAgainstScan starts the first four jobs on random nodes with room
-// for their memory, then places every other job both ways — Place and the
-// LoadBalance scan — checking that they agree and that the node index
-// reads the same before and after Place and matches the live node state.
-// Jobs that fit are started, so later calls see the load. It returns the
-// number of placements and failures.
-func placeAgainstScan(t *testing.T, seed int64, r *rand.Rand, cl *cluster.Cluster, jobs []workload.Job) (placed, failed int) {
+// TestScanPlacementBoundary is the differential check of the scan: on
+// three-resource platforms (gpu-uniform, and priced nodes of mixed CPU,
+// memory and GPU capacity), under the default and every built-in
+// objective, Place must choose exactly refPlace's nodes — on success and
+// on failure — for jobs with boundary memory and GPU sizes (GPU also 0)
+// and up to one task per node, after random occupancy.
+func TestScanPlacementBoundary(t *testing.T) {
+	gpus := append([]float64{0}, boundarySizes...)
+	objectives := []placement.Objective{nil, placement.LoadBalance{}, placement.Cost{},
+		placement.BestFit{}, placement.WorstFit{}, placement.First{}}
+	caps := []float64{1, 1.5, 2}
+	var placed, failed int
+	for seed := int64(1); seed <= 2500; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(14)
+		cl, _ := cluster.Profile(cluster.ProfileGPUUniform, n)
+		if seed%2 == 0 {
+			specs := make([]cluster.NodeSpec, n)
+			for i := range specs {
+				specs[i] = cluster.Spec(caps[r.Intn(3)], caps[r.Intn(3)], caps[r.Intn(3)])
+				specs[i].Cost = []float64{1, 3}[r.Intn(2)]
+			}
+			cl = cluster.NewWithDims([]string{"cpu", "mem", "gpu"}, specs)
+		}
+		jobs := make([]workload.Job, 12)
+		for i := range jobs {
+			jobs[i] = jb(i, 0, 1+r.Intn(n), 0.05+0.95*r.Float64(), boundarySizes[r.Intn(len(boundarySizes))], 10+100*r.Float64())
+			jobs[i].Extra = []float64{gpus[r.Intn(len(gpus))]}
+		}
+		cfg := sim.Config{Cluster: cl, Objective: objectives[int(seed)%len(objectives)]}
+		p, f := placeAgainstRef(t, seed, r, cfg, jobs)
+		placed += p
+		failed += f
+	}
+	if placed < 10000 || failed < 3000 {
+		t.Fatalf("battery too one-sided: %d placements, %d failures", placed, failed)
+	}
+	t.Logf("%d placements, %d failures matched the reference", placed, failed)
+}
+
+// placeAgainstRef runs jobs on cfg's platform and objective. It starts the
+// first four jobs on random nodes with room for their rigid demands, then
+// places every other job both ways — Place and refPlace — checking that
+// they agree. On the index path it also checks that the node index reads
+// the same before and after Place and matches the live node state, and
+// that memSlotsCover answers as SlotsCover over the free memory row. Jobs
+// that fit are started, so later calls see the load. It returns the number
+// of placements and failures.
+func placeAgainstRef(t *testing.T, seed int64, r *rand.Rand, cfg sim.Config, jobs []workload.Job) (placed, failed int) {
 	t.Helper()
-	n := cl.N()
-	tr := &workload.Trace{Name: "diff", Nodes: n, NodeMemGB: 8, Jobs: jobs}
-	buildSimCluster(t, tr, cl, func(ctl *sim.Controller) {
+	n := cfg.Cluster.N()
+	cfg.Trace = &workload.Trace{Name: "diff", Nodes: n, NodeMemGB: 8, Jobs: jobs}
+	buildSimConfig(t, cfg, func(ctl *sim.Controller) {
+		d := ctl.NumDims()
 		for jid := 0; jid < 4; jid++ {
 			j := ctl.JobRef(jid)
-			used := make([]float64, n)
+			used := make(map[[2]int]float64)
 			nodes := make([]int, 0, j.Tasks)
+		tasks:
 			for task := 0; task < j.Tasks; task++ {
 				node := r.Intn(n)
-				if ctl.FreeMem(node)-used[node] < j.MemReq {
-					break
+				for k := 1; k < d; k++ {
+					if ctl.FreeRes(node, k)-used[[2]int{node, k}] < j.Demand(k) {
+						break tasks
+					}
 				}
-				used[node] += j.MemReq
+				for k := 1; k < d; k++ {
+					used[[2]int{node, k}] += j.Demand(k)
+				}
 				nodes = append(nodes, node)
 			}
 			if len(nodes) == j.Tasks {
 				ctl.Start(jid, nodes)
 			}
 		}
+		indexed := cfg.Objective == nil && d == 2
 		var ps PlaceScratch
 		for _, jid := range ctl.JobsInState(sim.Pending) {
-			before := snapshotIndex(ctl)
-			for node := 0; node < n; node++ {
-				if before.loads[node] != ctl.CPULoad(node)/ctl.CPUCap(node) || before.mems[node] != ctl.FreeMem(node) {
-					t.Fatalf("seed %d: index leaf %d disagrees with the live node state", seed, node)
+			var before indexSnapshot
+			if indexed {
+				before = snapshotIndex(ctl)
+				mem := make([]float64, n)
+				for node := 0; node < n; node++ {
+					if before.loads[node] != ctl.CPULoad(node)/ctl.CPUCap(node) || before.mems[node] != ctl.FreeMem(node) {
+						t.Fatalf("seed %d: index leaf %d disagrees with the live node state", seed, node)
+					}
+					mem[node] = ctl.FreeMem(node)
+				}
+				j := ctl.JobRef(jid)
+				if got, want := memSlotsCover(ctl, j.MemReq, j.Tasks), SlotsCover([][]float64{mem}, []float64{j.MemReq}, j.Tasks); got != want {
+					t.Fatalf("seed %d job %d: memSlotsCover = %v, SlotsCover over the free memory row = %v", seed, jid, got, want)
 				}
 			}
-			want, wantOK := greedyPlaceScan(ctl, ctl.JobRef(jid), placement.LoadBalance{})
+			want, wantOK := refPlace(ctl, jid)
 			got, ok := ps.Place(ctl, jid)
 			if ok != wantOK || !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d job %d: index path = %v (ok %v), LoadBalance scan = %v (ok %v)",
-					seed, jid, got, ok, want, wantOK)
+				t.Fatalf("seed %d job %d (d=%d, objective %v): Place = %v (ok %v), reference = %v (ok %v)",
+					seed, jid, d, cfg.Objective, got, ok, want, wantOK)
 			}
-			if after := snapshotIndex(ctl); !reflect.DeepEqual(after, before) {
-				t.Fatalf("seed %d job %d (ok %v): node index changed across Place:\nbefore %+v\nafter  %+v",
-					seed, jid, ok, before, after)
+			if indexed {
+				if after := snapshotIndex(ctl); !reflect.DeepEqual(after, before) {
+					t.Fatalf("seed %d job %d (ok %v): node index changed across Place:\nbefore %+v\nafter  %+v",
+						seed, jid, ok, before, after)
+				}
 			}
 			if ok {
 				placed++
@@ -326,38 +447,43 @@ func TestPlaceCumulativeSlotRule(t *testing.T) {
 			{3, nil},
 			{4, []int{0}},
 		} {
-			want, wantOK := greedyPlaceScan(ctl, ctl.JobRef(c.jid), placement.LoadBalance{})
+			want, wantOK := refPlace(ctl, c.jid)
 			got, ok := new(PlaceScratch).Place(ctl, c.jid)
 			if ok != (c.want != nil) || !reflect.DeepEqual(got, c.want) || ok != wantOK || !reflect.DeepEqual(got, want) {
-				t.Errorf("job %d: Place = %v (ok %v), want %v; LoadBalance scan = %v (ok %v)", c.jid, got, ok, c.want, want, wantOK)
+				t.Errorf("job %d: Place = %v (ok %v), want %v; reference = %v (ok %v)", c.jid, got, ok, c.want, want, wantOK)
 			}
 		}
 	})
 }
 
 // TestPlaceAllocationFree: once its buffers have grown, Place allocates
-// nothing on the node-index path, whether the job fits or not.
+// nothing, on the node-index path and on the scan (with and without an
+// objective), whether the job fits or not.
 func TestPlaceAllocationFree(t *testing.T) {
 	tr := &workload.Trace{Name: "allocs", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 4, 0.5, 0.6, 100),
 		jb(1, 0, 4, 0.25, 0.2, 100), // two slots of 0.2 on each node's 0.4
 		jb(2, 0, 4, 0.25, 0.5, 100), // no node has 0.5 free
 	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		ctl.Start(0, []int{0, 1, 2, 3})
-		var ps PlaceScratch
-		for _, c := range []struct {
-			jid int
-			ok  bool
-		}{{1, true}, {2, false}} {
-			if _, ok := ps.Place(ctl, c.jid); ok != c.ok {
-				t.Fatalf("job %d: Place ok = %v, want %v", c.jid, ok, c.ok)
-			}
-			if allocs := testing.AllocsPerRun(100, func() { ps.Place(ctl, c.jid) }); allocs != 0 {
-				t.Errorf("job %d (ok %v): warmed Place allocates %v times per call", c.jid, c.ok, allocs)
-			}
+	for _, c := range scanCases([]cluster.NodeSpec{cluster.Unit(), cluster.Unit(), cluster.Unit(), cluster.Unit()}) {
+		for _, obj := range []placement.Objective{nil, placement.Cost{}} {
+			buildSimConfig(t, sim.Config{Trace: tr, Cluster: c.cl, Objective: obj}, func(ctl *sim.Controller) {
+				ctl.Start(0, []int{0, 1, 2, 3})
+				var ps PlaceScratch
+				for _, want := range []struct {
+					jid int
+					ok  bool
+				}{{1, true}, {2, false}} {
+					if _, ok := ps.Place(ctl, want.jid); ok != want.ok {
+						t.Fatalf("%s, objective %v, job %d: Place ok = %v, want %v", c.name, obj, want.jid, ok, want.ok)
+					}
+					if allocs := testing.AllocsPerRun(100, func() { ps.Place(ctl, want.jid) }); allocs != 0 {
+						t.Errorf("%s, objective %v, job %d (ok %v): warmed Place allocates %v times per call", c.name, obj, want.jid, want.ok, allocs)
+					}
+				}
+			})
 		}
-	})
+	}
 }
 
 // TestPlaceBufferRetention: Place hands out its own buffer and overwrites
@@ -365,40 +491,94 @@ func TestPlaceAllocationFree(t *testing.T) {
 // lists — into the job's placement on Start and into the observer's event.
 // Job 0 starts with the returned slice; placing job 1 then rewrites that
 // slice, and neither job 0's placement nor its recorded JobStarted may
-// change.
+// change. Both selections hand out the same buffer.
 func TestPlaceBufferRetention(t *testing.T) {
 	tr := &workload.Trace{Name: "retention", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 2, 0.5, 0.3, 100),
 		jb(1, 0, 2, 0.5, 0.3, 100),
 	}}
-	rec := &sim.Recorder{}
-	var startedOn []int
-	buildSimObserved(t, tr, nil, rec, func(ctl *sim.Controller) {
-		var ps PlaceScratch
-		a, ok := ps.Place(ctl, 0)
-		if !ok {
-			t.Fatal("job 0 does not fit an empty cluster")
+	for _, c := range scanCases([]cluster.NodeSpec{cluster.Unit(), cluster.Unit(), cluster.Unit(), cluster.Unit()}) {
+		t.Run(c.name, func(t *testing.T) {
+			rec := &sim.Recorder{}
+			var startedOn []int
+			buildSimConfig(t, sim.Config{Trace: tr, Cluster: c.cl, Observer: rec}, func(ctl *sim.Controller) {
+				var ps PlaceScratch
+				a, ok := ps.Place(ctl, 0)
+				if !ok {
+					t.Fatal("job 0 does not fit an empty cluster")
+				}
+				ctl.Start(0, a)
+				startedOn = append([]int(nil), a...)
+				b, ok := ps.Place(ctl, 1)
+				if !ok {
+					t.Fatal("job 1 does not fit")
+				}
+				if &a[0] != &b[0] || reflect.DeepEqual(b, startedOn) {
+					t.Fatalf("placing job 1 did not overwrite job 0's slice (%v, then %v): nothing is tested", startedOn, b)
+				}
+				if got := ctl.JobNodes(0); !reflect.DeepEqual(got, startedOn) {
+					t.Errorf("job 0's placement changed from %v to %v when the placement buffer was reused", startedOn, got)
+				}
+			})
+			for _, e := range rec.Events() {
+				if e.Kind == sim.EvStarted && e.JID == 0 {
+					if !reflect.DeepEqual(e.Nodes, startedOn) {
+						t.Errorf("recorded JobStarted for job 0 on %v, started on %v", e.Nodes, startedOn)
+					}
+					return
+				}
+			}
+			t.Error("no JobStarted recorded for job 0")
+		})
+	}
+}
+
+// TestScanGPUBinds: on the scan, GPU rather than memory decides both the
+// slot count and the nodes. Memory is plentiful everywhere (every task
+// takes 0.1 of a unit). Node 0 has one GPU unit, node 1 half a unit, node
+// 2 none, and node 3's unit is taken by job 0.
+func TestScanGPUBinds(t *testing.T) {
+	const aboveHalf = 0.5000000005
+	gpuJob := func(id, tasks int, gpu float64) workload.Job {
+		j := jb(id, 0, tasks, 0.1, 0.1, 100)
+		j.Extra = []float64{gpu}
+		return j
+	}
+	tr := &workload.Trace{Name: "gpu", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
+		gpuJob(0, 1, 1),
+		gpuJob(1, 3, 0.5),
+		gpuJob(2, 4, 0.5),
+		gpuJob(3, 3, aboveHalf),
+		gpuJob(4, 1, aboveHalf),
+		gpuJob(5, 4, 0),
+		gpuJob(6, 3, 0.25),
+	}}
+	cl := cluster.NewWithDims([]string{"cpu", "mem", "gpu"}, []cluster.NodeSpec{
+		cluster.Spec(1, 1, 1), cluster.Spec(1, 1, 0.5), cluster.Spec(1, 1, 0), cluster.Spec(1, 1, 1),
+	})
+	buildSimCluster(t, tr, cl, func(ctl *sim.Controller) {
+		ctl.Start(0, []int{3})
+		for _, c := range []struct {
+			name string
+			jid  int
+			want []int
+		}{
+			{"two halves on node 0, one on node 1", 1, []int{0, 1, 0}},
+			{"a fourth half finds no GPU", 2, nil},
+			{"three tasks just above a half: the floor rule counts three slots, the loop two", 3, nil},
+			{"one task just above a half fits", 4, []int{0}},
+			{"no GPU demand: every node takes tasks", 5, []int{0, 1, 2, 0}},
+			{"quarters on the GPU nodes only", 6, []int{0, 1, 0}},
+		} {
+			want, wantOK := refPlace(ctl, c.jid)
+			got, ok := new(PlaceScratch).Place(ctl, c.jid)
+			if ok != (c.want != nil) || !reflect.DeepEqual(got, c.want) || ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Place = %v (ok %v), want %v; reference = %v (ok %v)", c.name, got, ok, c.want, want, wantOK)
+			}
 		}
-		ctl.Start(0, a)
-		startedOn = append([]int(nil), a...)
-		b, ok := ps.Place(ctl, 1)
-		if !ok {
-			t.Fatal("job 1 does not fit")
-		}
-		if &a[0] != &b[0] || reflect.DeepEqual(b, startedOn) {
-			t.Fatalf("placing job 1 did not overwrite job 0's slice (%v, then %v): nothing is tested", startedOn, b)
-		}
-		if got := ctl.JobNodes(0); !reflect.DeepEqual(got, startedOn) {
-			t.Errorf("job 0's placement changed from %v to %v when the placement buffer was reused", startedOn, got)
+		free := func(node, k int) float64 { return ctl.FreeRes(node, k) }
+		if got := sim.TaskSlots(ctl.NumNodes(), 3, 2, 3, func(int) float64 { return aboveHalf }, free); got != 3 {
+			t.Errorf("sim.TaskSlots counts %d GPU slots of %g; this test assumes its floor rule counts 3", got, aboveHalf)
 		}
 	})
-	for _, e := range rec.Events() {
-		if e.Kind == sim.EvStarted && e.JID == 0 {
-			if !reflect.DeepEqual(e.Nodes, startedOn) {
-				t.Errorf("recorded JobStarted for job 0 on %v, started on %v", e.Nodes, startedOn)
-			}
-			return
-		}
-	}
-	t.Error("no JobStarted recorded for job 0")
 }

@@ -9,21 +9,27 @@
 // node to prefer), the placement-objective layer of internal/placement.
 // PlaceScratch.Place scores with the run's objective, defaulting to
 // placement.LoadBalance — the least relatively CPU-loaded feasible node,
-// exactly the published GREEDY. Two selections implement it. On the
-// paper's two-resource platform with no objective configured, memory is the
-// only hard constraint, so the job fits exactly when the nodes' memory
-// slots, counted with the task loop's own arithmetic, cover its tasks; a
-// job that does not fit is rejected on that count without touching the
-// simulator's node index, and one that does has each task's least-loaded
-// query answered from the index in O(log n). Everywhere else one
-// placement.Pick scan runs under the objective.
+// exactly the published GREEDY. A node keeps taking a job's identical
+// tasks until one of its rigid dimensions runs out, whichever node the
+// objective prefers, so the task loop fails exactly when the nodes' slots
+// fall short of the job's tasks. Place counts them first, with one rule
+// (nodeSlots: the loop's own cumulative arithmetic, per dimension, the
+// node holding the minimum over its dimensions), and rejects a job that
+// does not fit before choosing any node. Two selections then
+// place a job that fits. On the paper's two-resource platform with no
+// objective configured, memory is the only hard constraint: the count
+// reads free memory from the controller, and each task's least-loaded
+// query is answered from the simulator's node index in O(log n).
+// Everywhere else one placement.Pick scan per task runs under the
+// objective, over free-capacity rows read once per call. GREEDY-PMTN's
+// forced admission asks the same question (SlotsCover) of the capacity its
+// pauses would free, so the placement after the pauses cannot fail.
 package sched
 
 import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/floats"
@@ -65,14 +71,26 @@ func SpecOf(ctl *sim.Controller, jid int) core.JobSpec {
 
 // PlaceScratch holds the buffers of GREEDY placement so schedulers placing
 // at every event can reuse them. The zero value is ready to use.
+//
+// Both selections keep, per node, the rows of the tasks placed so far in
+// the current call (plan.load and plan.rigid; the index path only uses
+// memory, plan.rigid[0]) and zero the entries they wrote before returning,
+// so the rows are all zero between calls. The scan also reads every node's
+// free rigid capacity into plan.free and the job's rigid demands into dems
+// at the start of each call; those are only meaningful during the call.
+// Place's result is the nodes buffer (see Place).
 type PlaceScratch struct {
-	nodes []int // the placement Place returns
-	// Per-node rows of the tasks the indexed path has placed in the
-	// current call: their memory and their CPU load. Only the nodes in
-	// touched are non-zero (memory requirements are positive), and Place
-	// resets them before it returns.
-	planMem, planLoad []float64
-	touched           []int
+	nodes   []int // the placement Place returns
+	touched []int // index path: nodes with a non-zero memory row
+	plan    plan
+	dems    []float64 // scan: dems[r] is the job's demand in dimension r+1
+	job     *workload.Job
+	// The scan's placement.Pick callbacks, built once per owner: a closure
+	// made per call escapes through the objective's Score and allocates.
+	// owner is the scratch they read, so a copied scratch builds its own.
+	owner    *PlaceScratch
+	feasible func(node int) bool
+	dem      placement.Demand
 }
 
 // Place computes the GREEDY placement of Section III-A for job jid: each
@@ -90,6 +108,7 @@ type PlaceScratch struct {
 // straight to them is safe; a caller that keeps it longer must copy it.
 func (ps *PlaceScratch) Place(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
 	j := ctl.JobRef(jid)
+	ps.grow(ctl)
 	obj := ctl.Objective()
 	if obj == nil {
 		if ctl.NumDims() == 2 {
@@ -101,51 +120,96 @@ func (ps *PlaceScratch) Place(ctl *sim.Controller, jid int) (nodes []int, ok boo
 		}
 		obj = placement.LoadBalance{}
 	}
-	return greedyPlaceScan(ctl, j, obj)
+	return ps.placeScan(ctl, j, obj)
 }
 
-// greedyPlaceScan is the placement scan: per task, placement.Pick under
-// obj over the nodes with free capacity in every rigid dimension, net of
-// the tasks already placed in this call.
-func greedyPlaceScan(ctl *sim.Controller, j *workload.Job, obj placement.Objective) ([]int, bool) {
+// grow sizes the plan rows for ctl's nodes and dimensions. Rows are only
+// reallocated when the platform changes shape, and they are all zero
+// between calls.
+func (ps *PlaceScratch) grow(ctl *sim.Controller) {
+	p := &ps.plan
+	p.ctl = ctl
+	n, rigid := ctl.NumNodes(), ctl.NumDims()-1
+	if len(p.load) == n && len(p.rigid) == rigid {
+		return
+	}
+	p.load = make([]float64, n)
+	p.rigid = make([][]float64, rigid)
+	p.free = make([][]float64, rigid)
+	for r := range p.rigid {
+		p.rigid[r] = make([]float64, n)
+		p.free[r] = make([]float64, n)
+	}
+	ps.dems = make([]float64, rigid)
+}
+
+// placeScan is the placement scan: per task, placement.Pick under obj over
+// the nodes with free capacity in every rigid dimension, net of the tasks
+// already placed in this call. A node keeps accepting identical tasks until
+// one of its rigid dimensions runs out, whichever node the objective
+// prefers, so the loop fails exactly when SlotsCover says the free rows do
+// not hold the job: that is decided first, before any Pick.
+func (ps *PlaceScratch) placeScan(ctl *sim.Controller, j *workload.Job, obj placement.Objective) ([]int, bool) {
+	p := &ps.plan
 	n := ctl.NumNodes()
-	p := newPlan(ctl)
-	dems := make([]float64, len(p.rigid))
-	for r := range dems {
-		dems[r] = j.Demand(r + 1)
-	}
-	feasible := func(node int) bool {
-		for r, dm := range dems {
-			if !floats.LessEq(dm, ctl.FreeRes(node, r+1)-p.rigid[r][node]) {
-				return false
-			}
+	for r, row := range p.free {
+		ps.dems[r] = j.Demand(r + 1)
+		for node := range row {
+			row[node] = ctl.FreeRes(node, r+1)
 		}
-		return true
 	}
-	// A closure over the pointer, not the method value j.Demand, which
-	// would copy the whole job record to the heap on every call.
-	dem := func(k int) float64 { return j.Demand(k) }
-	nodes := make([]int, 0, j.Tasks)
+	if !SlotsCover(p.free, ps.dems, j.Tasks) {
+		return nil, false
+	}
+	if ps.owner != ps {
+		ps.owner = ps
+		ps.feasible = ps.fits
+		// A closure over the scratch, not the method value j.Demand, which
+		// would copy the whole job record to the heap on every call.
+		ps.dem = func(k int) float64 { return ps.job.Demand(k) }
+	}
+	ps.job = j
+	ps.nodes = ps.nodes[:0]
 	for task := 0; task < j.Tasks; task++ {
-		best := placement.Pick(n, dem, p, feasible, obj)
+		best := placement.Pick(n, ps.dem, p, ps.feasible, obj)
 		if best < 0 {
-			return nil, false
+			// SlotsCover counted a slot for every task with the rule fits
+			// applies; reaching this branch indicates an internal
+			// inconsistency.
+			panic("sched: placement scan found no node after its slot count covered the job")
 		}
-		nodes = append(nodes, best)
+		ps.nodes = append(ps.nodes, best)
 		p.load[best] += j.CPUNeed
-		for r, dm := range dems {
+		for r, dm := range ps.dems {
 			p.rigid[r][best] += dm
 		}
 	}
-	return nodes, true
+	for _, node := range ps.nodes {
+		p.load[node] = 0
+		for _, row := range p.rigid {
+			row[node] = 0
+		}
+	}
+	ps.job = nil
+	return ps.nodes, true
+}
+
+// fits is the scan's feasibility filter: the job's demand fits under
+// floats.LessEq in every rigid dimension of node, net of this call's tasks.
+func (ps *PlaceScratch) fits(node int) bool {
+	p := &ps.plan
+	for r, dm := range ps.dems {
+		if !floats.LessEq(dm, p.free[r][node]-p.rigid[r][node]) {
+			return false
+		}
+	}
+	return true
 }
 
 // place2Indexed answers the two-resource LoadBalance scan from the
 // simulator's node index. On this path memory is the only hard constraint,
-// and a node that fits a task keeps fitting the next one until its own
-// memory runs out, so the task loop fails exactly when the per-node memory
-// slots add up to fewer than the job's tasks: memSlotsCover decides that
-// first, and a job that cannot fit returns without reading the index.
+// so memSlotsCover decides whether the job fits before the index is read,
+// and a job that cannot fit returns without syncing or writing it.
 //
 // Tasks already placed in this call are overlaid onto the touched leaves
 // with exactly the expressions of the scan — free memory minus accumulated
@@ -162,10 +226,9 @@ func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]i
 	if !memSlotsCover(ctl, memReq, j.Tasks) {
 		return nil, false
 	}
-	if n := ctl.NumNodes(); len(ps.planMem) < n {
-		ps.planMem = make([]float64, n)
-		ps.planLoad = make([]float64, n)
-	}
+	// A zero planMem marks an untouched node: memory requirements are
+	// positive.
+	planMem, planLoad := ps.plan.rigid[0], ps.plan.load
 	t := ctl.NodeIndex()
 	ps.nodes = ps.nodes[:0]
 	for task := 0; task < j.Tasks; task++ {
@@ -177,60 +240,83 @@ func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]i
 			panic("sched: indexed placement found no node after its memory slot count covered the job")
 		}
 		ps.nodes = append(ps.nodes, node)
-		if ps.planMem[node] == 0 {
+		if planMem[node] == 0 {
 			ps.touched = append(ps.touched, node)
 		}
-		ps.planMem[node] += memReq
-		ps.planLoad[node] += cpuNeed
+		planMem[node] += memReq
+		planLoad[node] += cpuNeed
 		t.Set(node,
-			(ctl.CPULoad(node)+ps.planLoad[node])/ctl.CPUCap(node),
-			ctl.FreeMem(node)-ps.planMem[node])
+			(ctl.CPULoad(node)+planLoad[node])/ctl.CPUCap(node),
+			ctl.FreeMem(node)-planMem[node])
 	}
 	for _, node := range ps.touched {
 		t.Set(node, ctl.CPULoad(node)/ctl.CPUCap(node), ctl.FreeMem(node))
-		ps.planMem[node], ps.planLoad[node] = 0, 0
+		planMem[node], planLoad[node] = 0, 0
 	}
 	ps.touched = ps.touched[:0]
 	return ps.nodes, true
 }
 
-// memSlotsCover reports whether the nodes' free memory holds tasks tasks of
-// memReq each. A node's slots are counted with the placement loop's own
-// rule — it takes another task while memReq fits under floats.LessEq in its
-// free memory net of the tasks it already took, summed one memReq at a
-// time — which is exactly the leaf value the loop's ArgminLoad tests.
-// (sim.TaskSlots' floor((cap+Eps)/dem) differs at the boundary.) Counting
-// stops as soon as the tasks are covered.
+// nodeSlots is the one rule greedy placement counts a node's slots with:
+// how many identical tasks of demand dm the placement loop puts on a node
+// with free capacity free in one rigid dimension. The loop takes another
+// task while floats.LessEq(dm, free-acc), acc being the demand of the
+// tasks already taken, summed one dm at a time; the test is monotone in
+// acc, so the count is the first task it rejects. Counting stops at max.
+// (sim.TaskSlots' floor((free+Eps)/dm) differs at the boundary: it counts
+// one slot too many just above a divisor of free.)
+func nodeSlots(dm, free float64, max int) int {
+	k := 0
+	for acc := 0.0; k < max && floats.LessEq(dm, free-acc); acc += dm {
+		k++
+	}
+	return k
+}
+
+// SlotsCover reports whether the free rows hold tasks identical tasks of
+// demand dems, where free[r][node] is a node's free capacity in rigid
+// dimension r+1 (every platform has at least the memory row) and dems[r]
+// the task's demand there. A node holds the
+// minimum of its nodeSlots over the dimensions — the task loop stops on a
+// node as soon as one dimension runs out — so the placement loop, whatever
+// its objective picks, places every task exactly when SlotsCover holds.
+// Counting stops as soon as the tasks are covered.
+func SlotsCover(free [][]float64, dems []float64, tasks int) bool {
+	need := tasks
+	for node, n := 0, len(free[0]); node < n && need > 0; node++ {
+		k := need
+		for r, dm := range dems {
+			if k = nodeSlots(dm, free[r][node], k); k == 0 {
+				break
+			}
+		}
+		need -= k
+	}
+	return need <= 0
+}
+
+// memSlotsCover is SlotsCover on the two-resource platform, reading each
+// node's free memory from the controller instead of a row: the index path
+// needs no rows when the job does not fit. TestIndexedPlacementBoundary
+// pins the two against each other.
 func memSlotsCover(ctl *sim.Controller, memReq float64, tasks int) bool {
 	need := tasks
 	for node, n := 0, ctl.NumNodes(); node < n && need > 0; node++ {
-		free := ctl.FreeMem(node)
-		for acc := 0.0; need > 0 && floats.LessEq(memReq, free-acc); acc += memReq {
-			need--
-		}
+		need -= nodeSlots(memReq, ctl.FreeMem(node), need)
 	}
 	return need <= 0
 }
 
 // plan is a placement scan's view of the platform for placement.State:
 // the simulator's live usage plus, per node, the rigid demands and CPU
-// load of the tasks the scan has already assigned in the current call
-// (none when the rows are nil), so objectives score nodes as if those
-// placements had already happened.
+// load of the tasks the scan has already assigned in the current call, so
+// objectives score nodes as if those placements had already happened.
+// With nil rows (ImproveRank's view) it reads the live state alone.
 type plan struct {
 	ctl   *sim.Controller
+	free  [][]float64 // free[r][node]: FreeRes(node, r+1) at the start of the call
 	rigid [][]float64 // rigid[r][node]: demand in rigid dimension r+1
 	load  []float64   // load[node]: CPU load
-}
-
-// newPlan returns an empty plan over ctl's nodes and resource dimensions.
-func newPlan(ctl *sim.Controller) *plan {
-	n := ctl.NumNodes()
-	p := &plan{ctl: ctl, load: make([]float64, n), rigid: make([][]float64, ctl.NumDims()-1)}
-	for r := range p.rigid {
-		p.rigid[r] = make([]float64, n)
-	}
-	return p
 }
 
 // Dims implements placement.State.
@@ -246,11 +332,10 @@ func (p *plan) Free(node, k int) float64 {
 	if k == 0 {
 		return p.ctl.CPUCap(node) - p.CPULoad(node)
 	}
-	free := p.ctl.FreeRes(node, k)
-	if k-1 < len(p.rigid) {
-		free -= p.rigid[k-1][node]
+	if p.free == nil {
+		return p.ctl.FreeRes(node, k)
 	}
-	return free
+	return p.free[k-1][node] - p.rigid[k-1][node]
 }
 
 // CPULoad implements placement.State.
@@ -369,25 +454,9 @@ func (ys *YieldScratch) Apply(ctl *sim.Controller) {
 	ApplyYieldsList(ctl, running, alloc.Yields)
 }
 
-// ApplyYields sets each listed running job's yield, zeroing all of them
-// first so that no intermediate state oversubscribes a node's CPU.
-func ApplyYields(ctl *sim.Controller, yields map[int]float64) {
-	jids := make([]int, 0, len(yields))
-	for jid := range yields {
-		jids = append(jids, jid)
-	}
-	sort.Ints(jids)
-	for _, jid := range jids {
-		ctl.SetYield(jid, 0)
-	}
-	for _, jid := range jids {
-		ctl.SetYield(jid, floats.Clamp01(yields[jid]))
-	}
-}
-
-// ApplyYieldsList is ApplyYields over parallel slices: jids must be in
-// ascending order with yields[i] the yield of jids[i]. It performs the same
-// zero-first two-phase update without building a map.
+// ApplyYieldsList sets each listed running job's yield, zeroing all of
+// them first so that no intermediate state oversubscribes a node's CPU.
+// jids must be in ascending order, with yields[i] the yield of jids[i].
 func ApplyYieldsList(ctl *sim.Controller, jids []int, yields []float64) {
 	for _, jid := range jids {
 		ctl.SetYield(jid, 0)
