@@ -60,7 +60,7 @@ func AggregateCaps(dst []float64, c *cluster.Cluster) []float64 {
 }
 
 // capsCache is AggregateCaps memoized on the identity of the cluster's node
-// slice (its first element and length, the key vectorpack.RepackState
+// slice (its first element and length, the key vectorpack.PackBuffer
 // uses for its normalization), so a caller rebinding the same cluster at
 // every event sums the capacities once. Clusters are not mutated once
 // built, and the sums are AggregateCaps's own, so they are bit-identical.

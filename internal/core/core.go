@@ -24,9 +24,9 @@
 // instead of searching again. The periodic DYNMCB8 variants repack every
 // job at every tick, and on a lightly loaded cluster most ticks see the job
 // set of the tick before. The reuse is exact: the search is a
-// deterministic function of the instance, because the warm-started packer
-// returns what a cold pack would, and the winning probe's assignment is
-// still in the workspace.
+// deterministic function of the instance (the packer keeps only what
+// depends on the node set between packs), and the winning probe's
+// assignment is still in the workspace.
 package core
 
 import (
@@ -142,9 +142,8 @@ type packProbe struct {
 	// dimension changes with the yields). Accumulated in item order by
 	// AddRigidDemand.
 	rigidTotals []float64
-	buf         vectorpack.PackBuffer
-	repack      vectorpack.RepackState // warm-start state for the MCB path
-	best        []int                  // assignment of the last feasible probe
+	buf         vectorpack.PackBuffer // scratch of the MCB path
+	best        []int                 // assignment of the last feasible probe
 
 	alloc Allocation // reused result object, rebuilt by allocation()
 	prev  []jobKey   // the instance of the previous reset, job by job
@@ -187,10 +186,10 @@ type lastSolve struct {
 	y         float64 // the winning base yield
 }
 
-// samePacker reports whether two packer values are interchangeable for
-// warm-start purposes. Incomparable packer types (none exist in this
-// repository) conservatively report false, which only costs a cache
-// rebuild, never correctness.
+// samePacker reports whether two packer values are interchangeable, so a
+// previous outcome and the MCB path's cached bin order still hold.
+// Incomparable packer types (none exist in this repository) conservatively
+// report false, which only costs a cache rebuild, never correctness.
 func samePacker(a, b vectorpack.Packer) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
@@ -242,10 +241,9 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	}
 	repeat = repeat && same
 	if !samePk {
-		// The warm-start replay is only valid for the packer configuration
-		// that produced it (the sorted orders are packer-independent, but
-		// the exact-repeat fast path replays a full prior assignment).
-		p.repack.Invalidate()
+		// The buffer's cached bin order belongs to the previous packer's
+		// objective.
+		p.buf = vectorpack.PackBuffer{}
 	}
 	p.jobs, p.c, p.packer, p.d = jobs, c, packer, d
 	p.mcb, p.isMCB = vectorpack.MCB8{}, false
@@ -341,7 +339,7 @@ func (p *packProbe) pack() bool {
 	var assign []int
 	var ok bool
 	if p.isMCB {
-		assign, ok = p.mcb.PackWarm(p.its, p.c.Nodes, &p.buf, &p.repack)
+		assign, ok = p.mcb.PackBuf(p.its, p.c.Nodes, &p.buf)
 	} else {
 		assign, ok = p.packer.Pack(p.its, p.c.Nodes)
 	}
@@ -479,9 +477,9 @@ func (p *packProbe) setBaseYield(y float64) {
 // CPU need are visited in descending rank order before the ID tie-break.
 // The paper's primary ascending-total-need order is never altered; a nil
 // rank is exactly the published ties-by-ID rule. The greedy and DYNMCB8
-// families derive rank from the run's objective via sched.ImproveRank (the
-// cost objective ranks jobs by the cost of their hosting nodes, so leftover
-// CPU drains priced capacity first).
+// families derive rank from the run's objective via
+// sched.YieldScratch.ImproveRank (the cost objective ranks jobs by the cost
+// of their hosting nodes, so leftover CPU drains priced capacity first).
 func ImproveAverageYieldRanked(jobs []JobSpec, alloc *Allocation, c *cluster.Cluster, eligible func(JobSpec) bool, rank []float64) {
 	var sc ImproveScratch
 	sc.ImproveAverageYieldRanked(jobs, alloc, c, eligible, rank)

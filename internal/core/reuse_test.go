@@ -60,15 +60,16 @@ func sameJobs(a, b []JobSpec) bool {
 
 // TestWorkspaceReuseMatchesFresh drives one Workspace through a random
 // sequence of MaxMinYield instances with many exact repeats, interleaving
-// MinEstimatedStretch calls, packer swaps (MCB8 with and without the cost
-// objective), a second cluster of the same size, job edits and in-place
+// MinEstimatedStretch calls, packer swaps (MCB8 with no objective, the cost
+// objective and the best-fit objective, whose bin orders differ on these
+// priced clusters), a second cluster of the same size, job edits and in-place
 // edits of a job's Extra. Every answer must equal a fresh MaxMinYield on
 // a copy of the instance, and the workspace must reuse exactly when the
 // instance is the previous MaxMinYield call's.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	clusters := []*cluster.Cluster{reuseCluster(6, 1), reuseCluster(6, 0.5)}
-	packers := []vectorpack.Packer{vectorpack.MCB8{}, vectorpack.MCB8{Objective: placement.Cost{}}}
+	packers := []vectorpack.Packer{vectorpack.MCB8{}, vectorpack.MCB8{Objective: placement.Cost{}}, vectorpack.MCB8{Objective: placement.BestFit{}}}
 	var w Workspace
 	jobs := randomReuseJobs(r)
 	c, packer := clusters[0], packers[0]

@@ -64,7 +64,7 @@ type Quantile struct {
 
 // newQuantile returns a sketch with the given number of log-spaced bins
 // over [lo, hi). It panics if lo <= 0, hi <= lo, or bins <= 0 (programming
-// errors, like stats.NewHistogram).
+// errors).
 func newQuantile(lo, hi float64, bins int) *Quantile {
 	if lo <= 0 || hi <= lo || bins <= 0 {
 		panic("online: newQuantile requires 0 < lo < hi and bins > 0")

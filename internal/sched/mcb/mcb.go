@@ -118,7 +118,7 @@ type Scheduler struct {
 	runBuf  []int
 	prioBuf []float64
 	memBuf  []float64
-	greedy  sched.YieldScratch
+	greedy  sched.YieldScratch // ASAP yields, and the ranks of every solve
 	place   sched.PlaceScratch
 }
 
@@ -323,7 +323,7 @@ func (s *Scheduler) solve(ctl *sim.Controller, jids []int, specs []core.JobSpec,
 			return ctl.VirtualTime(spec.ID) <= s.opt.FairnessAge
 		}
 	}
-	s.imp.ImproveAverageYieldRanked(specs, alloc, c, eligible, sched.ImproveRank(ctl, specs, alloc))
+	s.imp.ImproveAverageYieldRanked(specs, alloc, c, eligible, s.greedy.ImproveRank(ctl, specs, alloc))
 	return alloc, true
 }
 

@@ -8,9 +8,11 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/floats"
 	"repro/internal/placement"
 	"repro/internal/sim"
@@ -483,6 +485,41 @@ func TestPlaceAllocationFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestImproveRankAllocationFree: under the cost objective ImproveRank keys
+// every job by the cost of its hosting nodes, task by task, and once its
+// buffer has grown it allocates nothing; with no ranking objective it
+// returns nil.
+func TestImproveRankAllocationFree(t *testing.T) {
+	tr := &workload.Trace{Name: "rank", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
+		jb(0, 0, 2, 0.5, 0.2, 100),
+		jb(1, 0, 3, 0.25, 0.2, 100),
+	}}
+	specs := []cluster.NodeSpec{cluster.Unit(), cluster.Unit(), cluster.Unit(), cluster.Unit()}
+	for i := range specs {
+		specs[i] = specs[i].WithCost(float64(1 + 2*i))
+	}
+	for _, obj := range []placement.Objective{nil, placement.LoadBalance{}, placement.Cost{}} {
+		buildSimConfig(t, sim.Config{Trace: tr, Cluster: cluster.New(specs), Objective: obj}, func(ctl *sim.Controller) {
+			ctl.Start(0, []int{0, 3})
+			ctl.Start(1, []int{1, 1, 2})
+			jobs := []core.JobSpec{SpecOf(ctl, 0), SpecOf(ctl, 1)}
+			alloc := &core.Allocation{Nodes: [][]int{ctl.JobNodes(0), ctl.JobNodes(1)}, Yields: []float64{1, 1}}
+			var ys YieldScratch
+			got := ys.ImproveRank(ctl, jobs, alloc)
+			var want []float64
+			if obj != nil && obj.Name() == "cost" {
+				want = []float64{1 + 7, 3 + 3 + 5}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("objective %v: ImproveRank = %v, want %v", obj, got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { ys.ImproveRank(ctl, jobs, alloc) }); allocs != 0 {
+				t.Errorf("objective %v: warmed ImproveRank allocates %v times per call", obj, allocs)
+			}
+		})
 	}
 }
 

@@ -357,8 +357,9 @@ func (p *plan) Cost(node int) float64 { return p.ctl.NodeCost(node) }
 // unless the configured objective opts in through placement.JobRanker (the
 // cost objective does: granting leftover CPU to jobs on expensive nodes
 // first finishes them sooner and releases the priced capacity). alloc is
-// indexed like specs.
-func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocation) []float64 {
+// indexed like specs. The keys are ys's own buffer, valid until the next
+// ImproveRank or Apply on ys.
+func (ys *YieldScratch) ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocation) []float64 {
 	obj := ctl.Objective()
 	if obj == nil {
 		return nil
@@ -367,14 +368,16 @@ func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocati
 	if !ok || !jr.RanksJobs() {
 		return nil
 	}
-	st := &plan{ctl: ctl}
-	rank := make([]float64, len(specs))
+	ys.view.ctl = ctl
+	ys.rank = ys.rank[:0]
 	for i := range specs {
+		rank := 0.0
 		for _, node := range alloc.Nodes[i] {
-			rank[i] += obj.Score(placement.ZeroDemand, node, st)
+			rank += obj.Score(placement.ZeroDemand, node, &ys.view)
 		}
+		ys.rank = append(ys.rank, rank)
 	}
-	return rank
+	return ys.rank
 }
 
 // PriorityScratch holds the sort buffer of ByPriority so schedulers
@@ -423,6 +426,8 @@ type YieldScratch struct {
 	specs   []core.JobSpec
 	alloc   core.Allocation
 	imp     core.ImproveScratch
+	view    plan      // ImproveRank's view of the live state (no rows)
+	rank    []float64 // ImproveRank's keys
 }
 
 // Apply implements the GREEDY yield rule of Section III-A on the current
@@ -450,7 +455,7 @@ func (ys *YieldScratch) Apply(ctl *sim.Controller) {
 		alloc.Yields = append(alloc.Yields, base)
 	}
 	alloc.MinYield = base
-	ys.imp.ImproveAverageYieldRanked(ys.specs, alloc, ctl.Cluster(), nil, ImproveRank(ctl, ys.specs, alloc))
+	ys.imp.ImproveAverageYieldRanked(ys.specs, alloc, ctl.Cluster(), nil, ys.ImproveRank(ctl, ys.specs, alloc))
 	ApplyYieldsList(ctl, running, alloc.Yields)
 }
 

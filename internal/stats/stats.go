@@ -1,7 +1,7 @@
 // Package stats provides the small set of statistics used by the experiment
-// harness: streaming mean/standard deviation/extrema (Welford's algorithm),
-// percentiles, and fixed-width histograms. It exists so that experiment code
-// never hand-rolls numerically unstable accumulations.
+// harness: streaming mean/standard deviation/extrema (Welford's algorithm)
+// and percentiles. It exists so that experiment code never hand-rolls
+// numerically unstable accumulations.
 package stats
 
 import (
@@ -128,49 +128,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram counts observations into nbins equal-width bins over [lo, hi).
-// Finite observations outside the range (and infinities) are clamped into
-// the first or last bin. NaN observations carry no position at all — the
-// float-to-int conversion of a NaN bin index is implementation-defined, so
-// counting them would land in an arbitrary bin — and are dropped from the
-// bins and the total.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with nbins bins spanning [lo, hi).
-// It panics if nbins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		panic("stats: NewHistogram requires nbins > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records one observation. NaN observations are dropped (see the type
-// comment); infinities clamp into the edge bins. The bin index is clamped
-// in floating point before the int conversion, which would be
-// implementation-defined for values beyond the int range.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		return
-	}
-	idx := 0
-	if f := (x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)); f >= float64(len(h.Counts)) {
-		idx = len(h.Counts) - 1
-	} else if f > 0 {
-		idx = int(f)
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded (NaN observations are
-// not recorded).
-func (h *Histogram) Total() int { return h.total }

@@ -136,73 +136,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1.9, 2, 5.5, 9.99, -3, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	// -3 clamps into bin 0; 42 clamps into bin 4.
-	if h.Counts[0] != 3 { // 0, 1.9, -3
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.99, 42
-		t.Errorf("bin 4 = %d, want 2", h.Counts[4])
-	}
-}
-
-// TestHistogramNonFinite is the regression test for the NaN defect: the
-// float-to-int conversion of a NaN bin index is implementation-defined, so
-// a NaN observation used to land in an arbitrary bin and inflate Total.
-// NaN must be dropped; infinities clamp into
-// the edge bins like any other out-of-range observation.
-func TestHistogramNonFinite(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(math.NaN())
-	h.Add(math.NaN())
-	if h.Total() != 0 {
-		t.Errorf("Total = %d after NaN observations, want 0", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 0 {
-			t.Errorf("bin %d = %d after NaN observations, want 0", i, c)
-		}
-	}
-	h.Add(math.Inf(1))
-	h.Add(math.Inf(-1))
-	h.Add(5)
-	if h.Total() != 3 {
-		t.Errorf("Total = %d, want 3", h.Total())
-	}
-	if h.Counts[4] != 1 || h.Counts[0] != 1 || h.Counts[2] != 1 {
-		t.Errorf("bins = %v, want +Inf in bin 4, -Inf in bin 0, 5 in bin 2", h.Counts)
-	}
-	// A huge finite value whose scaled index overflows int range still
-	// clamps into the last bin.
-	h.Add(1e300)
-	if h.Counts[4] != 2 {
-		t.Errorf("bin 4 = %d after 1e300, want 2", h.Counts[4])
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero bins":   func() { NewHistogram(0, 1, 0) },
-		"empty range": func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	var s Stream
 	addAll(&s, []float64{1, 2, 3})

@@ -7,12 +7,11 @@ import (
 	"repro/internal/cluster"
 )
 
-// BenchmarkMCB8RepackSteadyState measures one steady-state scheduling
-// event at scale: a single-job delta (one completion, one arrival) in a
-// large live set, followed by the min-yield probe sweep the DYNMCB8
-// schedulers run per event. "cold" re-packs each probe from scratch with
-// the batch kernel; "warm" reuses a RepackState across probes and events.
-func BenchmarkMCB8RepackSteadyState(b *testing.B) {
+// BenchmarkMCB8SteadyState measures one steady-state scheduling event at
+// scale: a single-job delta (one completion, one arrival) in a large live
+// set, followed by the min-yield probe sweep the DYNMCB8 schedulers run per
+// event, every probe packed with PackBuf on one reused buffer.
+func BenchmarkMCB8SteadyState(b *testing.B) {
 	const liveJobs = 4096
 	const nNodes = 4096
 	rng := rand.New(rand.NewSource(99))
@@ -31,8 +30,11 @@ func BenchmarkMCB8RepackSteadyState(b *testing.B) {
 	in.rebuild()
 	probes := []float64{0, 1, 0.5, 0.25, 0.375, 0.4375, 0.40625, 0.40625}
 	var m MCB8
-
-	step := func(rng *rand.Rand) {
+	rng = rand.New(rand.NewSource(7))
+	var buf PackBuffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		at := rng.Intn(len(in.jobs))
 		in.jobs[at] = repackJob{
 			tasks:   1,
@@ -40,35 +42,11 @@ func BenchmarkMCB8RepackSteadyState(b *testing.B) {
 			rigid:   []float64{0.02 + 0.28*rng.Float64()},
 		}
 		in.rebuild()
+		for _, y := range probes {
+			in.setYield(y)
+			if _, ok := m.PackBuf(in.items, nodes, &buf); !ok {
+				b.Fatal("pack failed")
+			}
+		}
 	}
-
-	b.Run("cold", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(7))
-		var buf PackBuffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			step(rng)
-			for _, y := range probes {
-				in.setYield(y)
-				if _, ok := m.PackBuf(in.items, nodes, &buf); !ok {
-					b.Fatal("pack failed")
-				}
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(7))
-		var buf PackBuffer
-		var st RepackState
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			step(rng)
-			for _, y := range probes {
-				in.setYield(y)
-				if _, ok := m.PackWarm(in.items, nodes, &buf, &st); !ok {
-					b.Fatal("pack failed")
-				}
-			}
-		}
-	})
 }

@@ -87,9 +87,10 @@ func replayLayout(t *testing.T, r *rand.Rand, name string, n, d int) []cluster.N
 // TestReplayMatchesSingletons is the differential lock on node-pattern
 // replay: across d = 2, 3 and 4, the uniform, bimodal, powerlaw and
 // gpu-bimodal layouts and random runs of identical nodes, with no objective
-// and with the Cost objective, PackBuf and PackWarm on grouped items (where
-// fills replay) must return exactly the assignment and verdict of PackBuf
-// on the same items as singletons (where they do not).
+// and with the Cost objective, PackBuf on grouped items (where fills
+// replay), with one buffer reused across a yield sweep as the allocators
+// reuse it, must return exactly the assignment and verdict of PackBuf on
+// the same items as singletons (where they do not).
 func TestReplayMatchesSingletons(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	replays := 0
@@ -108,8 +109,7 @@ func TestReplayMatchesSingletons(t *testing.T) {
 					for i, j := range jobs {
 						cpu[i] = j.req[0]
 					}
-					var warmBuf PackBuffer
-					var st RepackState
+					var buf PackBuffer
 					for _, y := range []float64{1, 0.5, 0.25} {
 						for i, j := range jobs {
 							j.req[0] = cpu[i] * y
@@ -117,22 +117,21 @@ func TestReplayMatchesSingletons(t *testing.T) {
 						for i := range singletons {
 							singletons[i].Req[0] = grouped[i].Req[0]
 						}
-						var refBuf, batchBuf PackBuffer
+						var refBuf PackBuffer
 						want, wantOK := m.PackBuf(singletons, nodes, &refBuf)
-						batch, batchOK := m.PackBuf(grouped, nodes, &batchBuf)
-						warm, warmOK := m.PackWarm(grouped, nodes, &warmBuf, &st)
-						if batchOK != wantOK || warmOK != wantOK {
-							t.Fatalf("%s d=%d obj=%v trial %d y=%g: batch ok=%v warm ok=%v, singletons ok=%v",
-								layout, d, obj, trial, y, batchOK, warmOK, wantOK)
+						got, ok := m.PackBuf(grouped, nodes, &buf)
+						if ok != wantOK {
+							t.Fatalf("%s d=%d obj=%v trial %d y=%g: grouped ok=%v, singletons ok=%v",
+								layout, d, obj, trial, y, ok, wantOK)
 						}
 						for i := range want {
-							if batch[i] != want[i] || warm[i] != want[i] {
-								t.Fatalf("%s d=%d obj=%v trial %d y=%g: item %d batch node %d warm node %d, singletons node %d",
-									layout, d, obj, trial, y, i, batch[i], warm[i], want[i])
+							if got[i] != want[i] {
+								t.Fatalf("%s d=%d obj=%v trial %d y=%g: item %d grouped node %d, singletons node %d",
+									layout, d, obj, trial, y, i, got[i], want[i])
 							}
 						}
 					}
-					replays += st.Replays
+					replays += buf.Replays
 				}
 			}
 		}
@@ -143,10 +142,14 @@ func TestReplayMatchesSingletons(t *testing.T) {
 }
 
 // TestReplayCountPinned pins the replay counter on one fixed instance: 128
-// reference nodes and jobs of 64, 32 and 16 tasks, packed at a
-// MaxMinYield-style yield sweep. The five packings that run fill 206 nodes
-// (38 at every yield but 1, which takes 54), and 188 of those fills are
-// replays. A lost replay shows up here as a count.
+// reference nodes and jobs of 64, 32 and 16 tasks, packed on one buffer at
+// a MaxMinYield-style yield sweep whose last probe repeats the one before.
+// The buffer keeps nothing item-dependent between packs, so all six
+// packings run their fill: they fill 244 nodes (38 at every yield but 1,
+// which takes 54), and 223 of those fills are replays. The five distinct
+// probes account for 188; the repeated 0.625 probe searches 3 of its 38
+// nodes and replays the other 35, as the first 0.625 probe did.
+// A lost replay shows up here as a count.
 func TestReplayCountPinned(t *testing.T) {
 	jobs := []replayJob{
 		{tasks: 64, req: cluster.Vec{0.5, 0.25}},
@@ -154,28 +157,30 @@ func TestReplayCountPinned(t *testing.T) {
 		{tasks: 16, req: cluster.Vec{0.3, 0.3}},
 	}
 	cpu := []float64{0.5, 0.25, 0.3}
-	items, _ := groupedItems(jobs)
+	items, singletons := groupedItems(jobs)
 	nodes := cluster.Uniform(128)
 	var m MCB8
 	var buf PackBuffer
-	var st RepackState
 	for _, y := range []float64{0, 1, 0.5, 0.75, 0.625, 0.625} {
 		for i := range jobs {
 			jobs[i].req[0] = cpu[i] * y
 		}
-		got, ok := m.PackWarm(items, nodes, &buf, &st)
+		for i := range singletons {
+			singletons[i].Req[0] = items[i].Req[0]
+		}
+		got, ok := m.PackBuf(items, nodes, &buf)
 		var ref PackBuffer
-		want, wantOK := m.PackBuf(items, nodes, &ref)
+		want, wantOK := m.PackBuf(singletons, nodes, &ref)
 		if ok != wantOK {
-			t.Fatalf("y=%g: warm ok=%v, batch ok=%v", y, ok, wantOK)
+			t.Fatalf("y=%g: grouped ok=%v, singletons ok=%v", y, ok, wantOK)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("y=%g: item %d warm node %d, batch node %d", y, i, got[i], want[i])
+				t.Fatalf("y=%g: item %d grouped node %d, singletons node %d", y, i, got[i], want[i])
 			}
 		}
 	}
-	if st.Packs != 6 || st.Repeats != 1 || st.Replays != 188 {
-		t.Fatalf("packs=%d repeats=%d replays=%d, want 6, 1, 188", st.Packs, st.Repeats, st.Replays)
+	if buf.Packs != 6 || buf.Replays != 223 {
+		t.Fatalf("packs=%d replays=%d, want 6, 223", buf.Packs, buf.Replays)
 	}
 }

@@ -20,6 +20,11 @@
 // resource imbalance (the imbalance window). With d=2 this is exactly the
 // published CPU-heavy/memory-heavy two-list scheme.
 //
+// The fill walks per-dimension block-skip lists (group chains with
+// 64-group blocks carrying component minima and live bitmaps), so a node
+// that cannot hold any group of a block skips the whole block, and the
+// sorted-key jump proves the own dimension fits before any member test.
+//
 // On heterogeneous clusters all classification and sorting uses
 // capacity-normalized requirements — each dimension divided by the
 // cluster's mean per-node capacity in that dimension — so that "large" is
@@ -42,27 +47,6 @@
 // they are exactly the First (FFD) and BestFit (BFD, under the packers'
 // mean-capacity normalization) objectives and the index bin order (MCB8),
 // locked bit-for-bit by the frozen-copy tests.
-//
-// # Warm-start repacking
-//
-// DFRS schedulers call MCB8 on almost the same item set event after event:
-// one arrival or completion perturbs a live set that otherwise repeats,
-// and within one scheduler invocation the yield-optimization probes repack
-// the identical set several times under different yields. RepackState
-// exploits this. It caches the per-dimension sorted group orders of the
-// previous pack and, on the next one, classifies the new groups, patches
-// the cached orders in place when few groups changed (binary
-// insertion/removal instead of a full sort), replays the previous
-// assignment outright when the inputs are bitwise identical, and falls
-// back to a full rebuild otherwise. Every patched order is verified
-// against the sort invariant before use, so MCB8.PackWarm returns exactly
-// the assignment MCB8.PackBuf would have — warm-starting is a pure
-// time-for-memory trade, pinned by a differential property test and by
-// the campaign-level byte-identity checks. The fill phase itself walks
-// per-dimension block-skip lists (group chains with 64-group blocks
-// carrying component minima and live bitmaps), so a node that cannot hold
-// any group of a block skips the whole block, and the sorted-key jump
-// proves the own dimension fits before any member test.
 //
 // # Node-pattern replay
 //
@@ -289,9 +273,27 @@ func (m MCB8) WithObjective(obj placement.Objective) Packer {
 // shared between concurrent packings. The assignment returned by PackBuf
 // aliases the buffer and is only valid until the next PackBuf call with the
 // same buffer.
+//
+// The buffer also keeps what depends only on the node set: the
+// mean-capacity normalization and, under an objective, the bin opening
+// order. Both are keyed on the identity of the nodes slice (its first
+// element and length), so a node slice must not be modified in place
+// between packings with one buffer; node sets are never modified once a
+// cluster is built. The bin order belongs to the objective that computed
+// it: a caller switching to another objective starts a fresh buffer.
 type PackBuffer struct {
-	assign   []int
-	norm     cluster.Vec
+	assign []int
+	// The node-set cache: nodesFirst/nodesLen identify the node slice that
+	// norm and binOrder (nil until an objective asks for it) belong to.
+	nodesFirst *cluster.NodeSpec
+	nodesLen   int
+	norm       cluster.Vec
+	binOrder   []int
+
+	// Packs counts PackBuf calls on the buffer and Replays the bins they
+	// filled by replaying the previous bin's pattern; tests pin both.
+	Packs, Replays int
+
 	gFirst   []int // group -> index of its first (lowest) item
 	gCount   []int // group -> number of items
 	gUsed    []int // group -> items already placed this packing
@@ -497,6 +499,7 @@ func (m MCB8) Pack(items []Item, nodes []cluster.NodeSpec) ([]int, bool) {
 // items that share nothing degrade to singleton groups and reproduce the
 // per-item algorithm exactly. The returned assignment aliases buf.
 func (m MCB8) PackBuf(items []Item, nodes []cluster.NodeSpec, b *PackBuffer) ([]int, bool) {
+	b.Packs++
 	if len(items) == 0 {
 		return []int{}, true
 	}
@@ -504,7 +507,7 @@ func (m MCB8) PackBuf(items []Item, nodes []cluster.NodeSpec, b *PackBuffer) ([]
 		return nil, false
 	}
 	d := dims(nodes)
-	norm := meanCapsInto(nodes, b.normBuf(d))
+	norm := b.normFor(nodes, d)
 	// Collapse adjacent items with the same backing requirement vector
 	// into groups, classify every group by its dominant (largest
 	// capacity-normalized) dimension — the corner of the capacity space it
@@ -576,21 +579,21 @@ func (m MCB8) PackBuf(items []Item, nodes []cluster.NodeSpec, b *PackBuffer) ([]
 		b.chains[k].reset(list, b, items, d, k)
 	}
 	// The published kernel opens bins in index order; only a configured
-	// objective pays for an explicit order.
+	// objective pays for an explicit order, once per node set.
 	var order []int
 	if m.Objective != nil {
-		order = binOrder(m.Objective, nodes, d, norm)
+		if b.binOrder == nil {
+			b.binOrder = binOrder(m.Objective, nodes, d, norm)
+		}
+		order = b.binOrder
 	}
-	assign, ok, _ := b.fill(items, nodes, d, order)
-	return assign, ok
+	return b.fill(items, nodes, d, order)
 }
 
-// fill runs the bin-filling phase shared by PackBuf and PackWarm: the
-// chains in b hold each dimension's group list in (key desc, first-item
-// asc) order, and the loop below is the only consumer of that order, so
-// any preparation that reproduces the same sorted lists reproduces the
-// same assignment. order is the bin opening order (nil: index order). It
-// also returns the number of bins filled by replay.
+// fill runs PackBuf's bin-filling phase: the chains in b hold each
+// dimension's group list in (key desc, first-item asc) order, and the loop
+// below is the only consumer of that order. order is the bin opening order
+// (nil: index order). Bins filled by replay are added to b.Replays.
 //
 // After filling a node, fill replays its pattern onto the following bins
 // in fill order with equal capacity vectors, as many as every pattern
@@ -607,7 +610,7 @@ func (m MCB8) PackBuf(items []Item, nodes []cluster.NodeSpec, b *PackBuffer) ([]
 // the same reason, and a node that took nothing leaves every identical
 // node after it empty as well. Items of a group go out in ascending index
 // either way, so the assignment matches item for item.
-func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order []int) ([]int, bool, int) {
+func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order []int) ([]int, bool) {
 	// No reset of assign: a pack succeeds only once every item is placed,
 	// and a failed one returns no assignment.
 	b.assign = slices.Grow(b.assign[:0], len(items))[:len(items)]
@@ -620,7 +623,7 @@ func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order [
 	b.gTake = slices.Grow(b.gTake[:0], len(b.gCount))[:len(b.gCount)]
 	clear(b.gTake)
 	b.pattern = b.pattern[:0]
-	placed, replays := 0, 0
+	placed := 0
 	for bi := 0; bi < len(nodes) && placed < len(items); bi++ {
 		node := binAt(order, bi)
 		caps := nodes[node].Caps
@@ -638,12 +641,12 @@ func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order [
 		}
 		placed += b.replay(order, bi+1, bi+1+run, assign)
 		bi += run
-		replays += run
+		b.Replays += run
 	}
 	if placed < len(items) {
-		return nil, false, replays
+		return nil, false
 	}
-	return assign, true, replays
+	return assign, true
 }
 
 // fillNode fills one node by the imbalance-window search, recording its
@@ -712,12 +715,19 @@ func binAt(order []int, bi int) int {
 	return bi
 }
 
-// normBuf returns the buffer's d-sized normalization scratch.
-func (b *PackBuffer) normBuf(d int) cluster.Vec {
+// normFor returns the mean-capacity normalization of nodes, computing it
+// (and dropping the bin order, which depends on it) when the node set is
+// not the one the buffer last saw.
+func (b *PackBuffer) normFor(nodes []cluster.NodeSpec, d int) cluster.Vec {
+	if b.nodesFirst == &nodes[0] && b.nodesLen == len(nodes) && len(b.norm) == d {
+		return b.norm
+	}
 	if cap(b.norm) < d {
 		b.norm = make(cluster.Vec, d)
 	}
-	b.norm = b.norm[:d]
+	b.norm = meanCapsInto(nodes, b.norm[:d])
+	b.nodesFirst, b.nodesLen = &nodes[0], len(nodes)
+	b.binOrder = nil
 	return b.norm
 }
 

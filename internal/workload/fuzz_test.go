@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +13,8 @@ import (
 // StreamTrace, then Next until the end or an error. It must not panic, the
 // node count a trace declares never exceeds cluster.MaxNodes, and every job
 // it returns has at least one task and fits the cluster opened for it.
+// Whenever ReadTrace accepts the bytes, the stream must open and yield
+// exactly ReadTrace's jobs, in order, with no error.
 func FuzzStreamTrace(f *testing.F) {
 	for _, tr := range []*Trace{
 		sampleTrace(),
@@ -45,20 +48,37 @@ func FuzzStreamTrace(f *testing.F) {
 		header + "0 9 1 0.5 0.5 10\n1 2 1 0.5 0.5 10\n",
 		header + "0 1 4 0.5 0.5 10\n# nodes: 2\n1 2 4 0.5 0.5 10\n",
 		header + "0 1 1 0.5 0.5 10\n# nodes: 0\n1 2 9 0.5 0.5 10\n",
+		"id 0\n#nodes:1", // nodes declared only after the column header
+		header + "0 NaN 1 0.5 0.5 10\n",
+		header + "0 1 1 0.5 0.5 +Inf\n",
 	} {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want, rerr := ReadTrace(bytes.NewReader(data))
 		sr, err := StreamTrace(bytes.NewReader(data))
 		if err != nil {
+			if rerr == nil {
+				t.Fatalf("ReadTrace accepts the trace, StreamTrace fails: %v", err)
+			}
 			return
 		}
 		nodes := sr.Meta().Nodes
 		if nodes < 1 || nodes > cluster.MaxNodes {
 			t.Fatalf("opened a trace declaring %d nodes", nodes)
 		}
-		for {
+		for n := 0; ; n++ {
 			j, ok, err := sr.Next()
+			if rerr == nil {
+				switch {
+				case err != nil:
+					t.Fatalf("ReadTrace accepts the trace, StreamTrace fails after %d jobs: %v", n, err)
+				case ok && (n >= len(want.Jobs) || !reflect.DeepEqual(j, want.Jobs[n])):
+					t.Fatalf("StreamTrace job %d is %+v, ReadTrace has %d jobs", n, j, len(want.Jobs))
+				case !ok && n != len(want.Jobs):
+					t.Fatalf("StreamTrace ends after %d jobs, ReadTrace has %d", n, len(want.Jobs))
+				}
+			}
 			if err != nil || !ok {
 				return
 			}

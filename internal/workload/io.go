@@ -198,7 +198,6 @@ type TraceReader struct {
 	lineno      int
 	headerCols  int
 	sawHeader   bool
-	strict      bool
 	lastSubmit  float64
 	any         bool
 	declLoad    float64
@@ -212,8 +211,9 @@ type TraceReader struct {
 // applied as they are passed, but are not visible in Meta before then; a
 // node count there must repeat the one the stream opened with.
 func StreamTrace(r io.Reader) (*TraceReader, error) {
-	tr := newTraceReader(r)
-	tr.strict = true
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	tr := &TraceReader{sc: sc}
 	for !tr.sawHeader {
 		line, err := tr.scan()
 		if err != nil {
@@ -230,12 +230,6 @@ func StreamTrace(r io.Reader) (*TraceReader, error) {
 		return nil, errors.New("workload: trace has no nodes")
 	}
 	return tr, nil
-}
-
-func newTraceReader(r io.Reader) *TraceReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	return &TraceReader{sc: sc}
 }
 
 // Meta returns the trace metadata (Name, Nodes, NodeMemGB; Jobs is nil).
@@ -314,7 +308,7 @@ func (tr *TraceReader) applyMeta(line string) error {
 		if v > cluster.MaxNodes {
 			return fmt.Errorf("workload: line %d: %d nodes, above the limit of %d", tr.lineno, v, cluster.MaxNodes)
 		}
-		if tr.strict && tr.sawHeader && v != tr.meta.Nodes {
+		if tr.sawHeader && v != tr.meta.Nodes {
 			// The consumer laid out its cluster from Meta when the stream
 			// opened, and jobs are validated against that size.
 			return fmt.Errorf("workload: line %d: %d nodes after the column header, opened with %d", tr.lineno, v, tr.meta.Nodes)
@@ -339,11 +333,9 @@ func (tr *TraceReader) applyMeta(line string) error {
 	return nil
 }
 
-// Next implements JobSource: it parses lines until the next job row. In
-// strict (StreamTrace) mode each job is validated as it is produced and
-// out-of-order submissions fail with a line-numbered error; ReadTrace
-// defers whole-trace validation to the end instead, preserving its
-// original semantics.
+// Next implements JobSource: it parses lines until the next job row. Each
+// job is validated as it is produced, and out-of-order submissions fail
+// with a line-numbered error.
 func (tr *TraceReader) Next() (Job, bool, error) {
 	for {
 		raw, err := tr.scan()
@@ -363,25 +355,15 @@ func (tr *TraceReader) Next() (Job, bool, error) {
 			}
 			continue
 		}
-		if !tr.sawHeader {
-			if !strings.HasPrefix(line, "id ") {
-				return Job{}, false, fmt.Errorf("workload: line %d: missing column header", tr.lineno)
-			}
-			tr.sawHeader = true
-			tr.headerCols = len(strings.Fields(line))
-			continue
-		}
 		j, err := parseJobLine(line, tr.lineno)
 		if err != nil {
 			return Job{}, false, err
 		}
-		if tr.strict {
-			if err := j.Validate(tr.meta.Nodes); err != nil {
-				return Job{}, false, fmt.Errorf("line %d: %w", tr.lineno, err)
-			}
-			if tr.any && j.Submit < tr.lastSubmit {
-				return Job{}, false, fmt.Errorf("workload: line %d: job %d submitted before its predecessor", tr.lineno, j.ID)
-			}
+		if err := j.Validate(tr.meta.Nodes); err != nil {
+			return Job{}, false, fmt.Errorf("line %d: %w", tr.lineno, err)
+		}
+		if tr.any && j.Submit < tr.lastSubmit {
+			return Job{}, false, fmt.Errorf("workload: line %d: job %d submitted before its predecessor", tr.lineno, j.ID)
 		}
 		tr.lastSubmit, tr.any = j.Submit, true
 		return j, true, nil
@@ -431,10 +413,15 @@ func parseJobLine(line string, lineno int) (Job, error) {
 }
 
 // ReadTrace parses a trace file written by Encode, materializing every
-// job. For inputs too large to hold in memory, StreamTrace reads the same
-// format one job at a time.
+// job: it is StreamTrace read to the end, so both accept exactly the same
+// inputs. Metadata comments after the column header apply as they do when
+// streaming; the node count cannot change there.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	tr := newTraceReader(r)
+	tr, err := StreamTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	var jobs []Job
 	for {
 		j, ok, err := tr.Next()
 		if err != nil {
@@ -443,14 +430,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if !ok {
 			break
 		}
-		tr.meta.Jobs = append(tr.meta.Jobs, j)
-	}
-	if !tr.sawHeader {
-		return nil, errors.New("workload: missing column header")
+		jobs = append(jobs, j)
 	}
 	t := tr.meta
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+	t.Jobs = jobs
 	return &t, nil
 }

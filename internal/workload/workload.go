@@ -14,6 +14,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -82,26 +83,27 @@ func (j Job) EffectiveWeight() float64 {
 func (j Job) Work() float64 { return float64(j.Tasks) * j.ExecTime }
 
 // Validate checks that the job is well-formed for a cluster of the given
-// node count.
+// node count. Every comparison is written so that NaN fails it, and times
+// and weights must be finite.
 func (j Job) Validate(nodes int) error {
 	switch {
 	case j.Tasks < 1:
 		return fmt.Errorf("workload: job %d has %d tasks", j.ID, j.Tasks)
 	case nodes > 0 && j.Tasks > nodes:
 		return fmt.Errorf("workload: job %d needs %d tasks on %d nodes", j.ID, j.Tasks, nodes)
-	case j.Submit < 0:
-		return fmt.Errorf("workload: job %d has negative submit time %g", j.ID, j.Submit)
-	case j.CPUNeed <= 0 || j.CPUNeed > 1:
+	case !(j.Submit >= 0) || math.IsInf(j.Submit, 1):
+		return fmt.Errorf("workload: job %d has submit time %g, not finite and non-negative", j.ID, j.Submit)
+	case !(j.CPUNeed > 0 && j.CPUNeed <= 1):
 		return fmt.Errorf("workload: job %d has CPU need %g outside (0,1]", j.ID, j.CPUNeed)
-	case j.MemReq <= 0 || j.MemReq > 1:
+	case !(j.MemReq > 0 && j.MemReq <= 1):
 		return fmt.Errorf("workload: job %d has memory requirement %g outside (0,1]", j.ID, j.MemReq)
-	case j.ExecTime <= 0:
-		return fmt.Errorf("workload: job %d has execution time %g", j.ID, j.ExecTime)
-	case j.Weight < 0:
-		return fmt.Errorf("workload: job %d has negative weight %g", j.ID, j.Weight)
+	case !(j.ExecTime > 0) || math.IsInf(j.ExecTime, 1):
+		return fmt.Errorf("workload: job %d has execution time %g, not finite and positive", j.ID, j.ExecTime)
+	case !(j.Weight >= 0) || math.IsInf(j.Weight, 1):
+		return fmt.Errorf("workload: job %d has weight %g, not finite and non-negative", j.ID, j.Weight)
 	}
 	for k, x := range j.Extra {
-		if x < 0 || x > 1 {
+		if !(x >= 0 && x <= 1) {
 			return fmt.Errorf("workload: job %d has demand %g outside [0,1] in dimension %d", j.ID, x, 2+k)
 		}
 	}

@@ -42,6 +42,15 @@ func TestJobValidate(t *testing.T) {
 		{"zero mem", func(j *Job) { j.MemReq = 0 }},
 		{"mem above 1", func(j *Job) { j.MemReq = 1.01 }},
 		{"zero exec", func(j *Job) { j.ExecTime = 0 }},
+		{"NaN submit", func(j *Job) { j.Submit = math.NaN() }},
+		{"infinite submit", func(j *Job) { j.Submit = math.Inf(1) }},
+		{"NaN cpu", func(j *Job) { j.CPUNeed = math.NaN() }},
+		{"NaN mem", func(j *Job) { j.MemReq = math.NaN() }},
+		{"NaN exec", func(j *Job) { j.ExecTime = math.NaN() }},
+		{"infinite exec", func(j *Job) { j.ExecTime = math.Inf(1) }},
+		{"NaN weight", func(j *Job) { j.Weight = math.NaN() }},
+		{"infinite weight", func(j *Job) { j.Weight = math.Inf(1) }},
+		{"NaN extra", func(j *Job) { j.Extra = []float64{math.NaN()} }},
 	}
 	for _, c := range cases {
 		j := good
