@@ -65,16 +65,19 @@ profile-scan:
 	$(GO) test -run '^$$' -bench '^BenchmarkScanPlacement$$' -benchtime 30x -o $(PROFILE_DIR)/dfrs-scan.test -cpuprofile $(PROFILE_DIR)/dfrs-scan.prof .
 	@$(call layer_table,$(PROFILE_DIR)/dfrs-scan.test,$(PROFILE_DIR)/dfrs-scan.prof,$(SCAN_LAYERS))
 
-# Short fuzz sessions over the five input parsers, one after another: the
-# SWF loader, the node-inventory parser and the three dfrs-serve submission
-# parsers (topology spec, campaign grid, uploaded trace). Their seed
-# corpora also run as normal tests in `make test`.
+# Short fuzz sessions, one after another, over the five input parsers —
+# the SWF loader, the node-inventory parser and the three dfrs-serve
+# submission parsers (topology spec, campaign grid, uploaded trace) — and
+# over the rigid-fit rule (sim.New admits a job exactly when greedy, gang
+# and dynmcb8 run it). Their seed corpora also run as normal tests in
+# `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/swf/
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeSpecs$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s ./internal/federation/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamTrace$$' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzRigidFit$$' -fuzztime 10s ./internal/sim/
 
 # The blocking steps of .github/workflows/ci.yml, in the same order.
 ci: build vet fmt test race bench-module

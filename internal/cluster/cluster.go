@@ -31,6 +31,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/floats"
 )
 
 // Dimension indices of the canonical resource vector. CPU is the only
@@ -66,6 +68,38 @@ func (v Vec) Equal(o Vec) bool {
 		}
 	}
 	return true
+}
+
+// NodeSlots is the rigid-fit rule: how many identical tasks of demand dm
+// a node with free capacity free holds in one dimension, counting at most
+// max. A node takes another task while floats.LessEq(dm, free-acc), acc
+// being the demand of the tasks already taken, summed one dm at a time —
+// the test every placement runs task by task. The test is monotone in acc,
+// so the count is the first task it rejects.
+func NodeSlots(dm, free float64, max int) int {
+	k := 0
+	for acc := 0.0; k < max && floats.LessEq(dm, free-acc); acc += dm {
+		k++
+	}
+	return k
+}
+
+// Slots returns how many of tasks identical tasks n nodes hold at once,
+// capped at tasks. A task demands dem(k) in each dimension k in [lo, hi)
+// and free(node, k) is the node's free capacity there. A node holds the
+// minimum of its NodeSlots over those dimensions: a placement stops taking
+// tasks on a node as soon as one dimension runs out. Counting stops once
+// the tasks are covered.
+func Slots(n, tasks, lo, hi int, dem func(k int) float64, free func(node, k int) float64) int {
+	slots := 0
+	for node := 0; node < n && slots < tasks; node++ {
+		s := tasks - slots
+		for k := lo; k < hi && s > 0; k++ {
+			s = NodeSlots(dem(k), free(node, k), s)
+		}
+		slots += s
+	}
+	return slots
 }
 
 // NodeSpec is the capacity vector of one node in units of the reference

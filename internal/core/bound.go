@@ -33,16 +33,28 @@ func AddRigidDemand(totals []float64, j *JobSpec) {
 }
 
 // RigidOverflow reports whether some rigid dimension's total demand
-// exceeds the aggregate capacity caps (from AggregateCaps) by more than
-// floats.Eps. It is the rigid half of the allocators' capacity bound: a
-// job set it reports is not packable at any yield.
-func RigidOverflow(totals, caps []float64) bool {
+// exceeds what nodes nodes of aggregate capacity caps (from AggregateCaps)
+// can hold (rigidLimit). It is the rigid half of the allocators' capacity
+// bound: a job set it reports is not packable at any yield.
+func RigidOverflow(totals, caps []float64, nodes int) bool {
 	for k := cluster.DimMem; k < len(totals); k++ {
-		if totals[k] > caps[k]+floats.Eps {
+		if totals[k] > rigidLimit(caps[k], nodes) {
 			return true
 		}
 	}
 	return false
+}
+
+// rigidLimit is the largest total demand that nodes nodes of aggregate
+// capacity c hold in one rigid dimension. A node takes a task while
+// cluster.NodeSlots' test passes, which lets it exceed its capacity by up
+// to floats.Eps, so a bound at c+Eps would refuse job sets that every
+// packer places (four tasks of 0.5000000005 on four nodes of 0.5). The
+// factor covers the rounding of the sums compared, whose relative error
+// stays below 2^-52 per summed term: far under 2^-20 for any instance
+// that fits in memory.
+func rigidLimit(c float64, nodes int) float64 {
+	return (c + float64(nodes)*floats.Eps) * (1 + 0x1p-20)
 }
 
 // AggregateCaps returns dst resized to c's dimension count and filled with
@@ -97,6 +109,7 @@ func (cc *capsCache) of(c *cluster.Cluster) []float64 {
 // The zero value is ready; reuse it across chains.
 type ShedBound struct {
 	caps   []float64
+	nodes  int
 	agg    capsCache
 	totals []float64 // running rigid sums of the current set
 	margin []float64 // per-dimension bound on |totals - item-order sum|
@@ -108,7 +121,7 @@ type ShedBound struct {
 // Reset starts a chain at the full job set jobs, in the allocator's job
 // order, on cluster c.
 func (b *ShedBound) Reset(jobs []JobSpec, c *cluster.Cluster) {
-	b.caps = b.agg.of(c)
+	b.caps, b.nodes = b.agg.of(c), c.N()
 	b.totals = zeroed(b.totals, len(b.caps))
 	items := 0
 	for ji := range jobs {
@@ -124,7 +137,7 @@ func (b *ShedBound) Reset(jobs []JobSpec, c *cluster.Cluster) {
 	scale := 4 * float64(items+len(jobs)+1) * 0x1p-52
 	b.margin = zeroed(b.margin, len(b.caps))
 	for k := cluster.DimMem; k < len(b.caps); k++ {
-		b.margin[k] = scale * (b.totals[k] + b.caps[k] + floats.Eps)
+		b.margin[k] = scale * (b.totals[k] + rigidLimit(b.caps[k], b.nodes))
 	}
 }
 
@@ -141,7 +154,7 @@ func (b *ShedBound) Drop(j *JobSpec) {
 func (b *ShedBound) Fits(jobs []JobSpec, dropped []bool) bool {
 	near := false
 	for k := cluster.DimMem; k < len(b.totals); k++ {
-		lim := b.caps[k] + floats.Eps
+		lim := rigidLimit(b.caps[k], b.nodes)
 		switch {
 		case b.totals[k] > lim+b.margin[k]:
 			return false
@@ -159,7 +172,7 @@ func (b *ShedBound) Fits(jobs []JobSpec, dropped []bool) bool {
 			AddRigidDemand(b.exact, &jobs[ji])
 		}
 	}
-	return !RigidOverflow(b.exact, b.caps)
+	return !RigidOverflow(b.exact, b.caps, b.nodes)
 }
 
 // zeroed returns s resized to n with every entry zero.

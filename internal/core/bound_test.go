@@ -21,17 +21,22 @@ func itemOrderTotals(jobs []JobSpec, dropped []bool, d int) []float64 {
 	return totals
 }
 
-// clusterWithMemBound returns four nodes whose aggregate memory capacity
-// plus floats.Eps rounds to exactly lim, the value the bound compares
-// against.
+// capsUnder returns the aggregate capacity of nodes nodes whose
+// rigidLimit lies within a rounding of lim.
+func capsUnder(lim float64, nodes int) float64 {
+	return lim/(1+0x1p-20) - float64(nodes)*floats.Eps
+}
+
+// clusterWithMemBound returns four nodes whose memory rigidLimit rounds to
+// exactly lim, the value the bound compares against.
 func clusterWithMemBound(t *testing.T, lim float64) *cluster.Cluster {
 	t.Helper()
 	nodes := []cluster.NodeSpec{cluster.Spec(1, 1), cluster.Spec(1, 1), cluster.Spec(1, 1), cluster.Spec(1, 0)}
-	x := lim - 3 - floats.Eps
+	x := capsUnder(lim, 4) - 3
 	for i := 0; i < 1000; i++ {
 		nodes[3].Caps[cluster.DimMem] = x
 		c := cluster.New(nodes)
-		got := c.TotalCap(cluster.DimMem) + floats.Eps
+		got := rigidLimit(c.TotalCap(cluster.DimMem), 4)
 		if got == lim {
 			return c
 		}
@@ -74,7 +79,7 @@ func TestShedBoundExactNearBoundary(t *testing.T) {
 		b.Reset(jobs, c)
 		b.Drop(&jobs[1])
 		dropped := []bool{false, true}
-		want := !RigidOverflow(itemOrderTotals(jobs, dropped, 2), AggregateCaps(nil, c))
+		want := !RigidOverflow(itemOrderTotals(jobs, dropped, 2), AggregateCaps(nil, c), c.N())
 		if naive := !(running > lim); naive == want {
 			t.Fatalf("runningAbove=%v: running sum %v and item-order sum %v decide alike at %v", runningAbove, running, exact, lim)
 		}
@@ -119,9 +124,10 @@ func TestShedBoundMatchesRigidOverflow(t *testing.T) {
 			nodes[i] = cluster.Unit().WithDims(d, 1)
 		}
 		for k := cluster.DimMem; k < d; k++ {
-			// The bound, TotalCap + Eps, lands within a rounding of at.
+			// The bound, rigidLimit of TotalCap, lands within a rounding
+			// of at.
 			for i := range nodes {
-				nodes[i].Caps[k] = math.Max(0, at[k]-floats.Eps) / 4
+				nodes[i].Caps[k] = math.Max(0, capsUnder(at[k], 4)) / 4
 			}
 		}
 		c := cluster.New(nodes)
@@ -136,7 +142,7 @@ func TestShedBoundMatchesRigidOverflow(t *testing.T) {
 					set = append(set, jobs[i])
 				}
 			}
-			over := RigidOverflow(itemOrderTotals(jobs, dropped, d), caps)
+			over := RigidOverflow(itemOrderTotals(jobs, dropped, d), caps, c.N())
 			if got := b.Fits(jobs, dropped); got != !over {
 				t.Fatalf("trial %d step %d: Fits = %v, bound overflow = %v", trial, step, got, over)
 			}

@@ -333,7 +333,7 @@ func (p *packProbe) pack() bool {
 			cpuTotal += cpu
 		}
 	}
-	if cpuTotal > p.caps[cluster.DimCPU]+floats.Eps || RigidOverflow(p.rigidTotals, p.caps) {
+	if cpuTotal > p.caps[cluster.DimCPU]+floats.Eps || RigidOverflow(p.rigidTotals, p.caps, p.c.N()) {
 		return false
 	}
 	var assign []int
@@ -579,65 +579,44 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 		}
 		return jobs[a].ID - jobs[b].ID
 	})
-	// active is the order with permanently-finished jobs compacted away:
-	// ineligible jobs stay so, and a yield never decreases, so a job at 1.0
-	// is done for good and need not be rescanned on every restart. Jobs
-	// merely out of headroom stay active (an improvement elsewhere never
-	// frees headroom, but the original scan retried them, so keep the same
-	// visit sequence). Compaction preserves relative order, so each restart
-	// still finds the same first improvable job as a scan of the full order.
-	active := order
-	for {
-		improvedAny := false
-		w := 0
-		r := 0
-		for ; r < len(active); r++ {
-			ji := active[r]
-			j := &jobs[ji]
-			if eligible != nil && !eligible(*j) {
-				continue
-			}
-			y := alloc.Yields[ji]
-			if floats.GreaterEq(y, 1) {
-				continue
-			}
-			active[w] = ji
-			w++
-			// Maximum extra yield limited by the tightest node.
-			delta := math.Inf(1)
-			for _, nc := range pairs[off[ji]:off[ji+1]] {
-				head := c.CPUCap(nc.node) - used[nc.node]
-				if head < 0 {
-					head = 0
-				}
-				d := head / (j.CPUNeed * float64(nc.cnt))
-				if d < delta {
-					delta = d
-				}
-			}
-			if delta > 1-y {
-				delta = 1 - y
-			}
-			if !floats.Greater(delta, 0) {
-				continue
-			}
-			alloc.Yields[ji] = y + delta
-			for _, nc := range pairs[off[ji]:off[ji+1]] {
-				used[nc.node] += j.CPUNeed * float64(nc.cnt) * delta
-			}
-			improvedAny = true
-			// The paper re-selects the cheapest improvable job after
-			// every increase; restart the scan.
-			break
+	// One pass over the order applies the paper's rule, re-selecting the
+	// cheapest improvable job after every raise: node usage only grows
+	// within a call, so a job found unimprovable (out of headroom,
+	// ineligible or at 1.0) stays so, and a raised job has reached 1.0 or
+	// used up its tightest node's headroom, up to a rounding residue far
+	// below floats.Eps. The next selection therefore always lies later in
+	// the order (TestImproveOnePassMatchesRestart).
+	for _, ji := range order {
+		j := &jobs[ji]
+		if eligible != nil && !eligible(*j) {
+			continue
 		}
-		if !improvedAny {
-			return
+		y := alloc.Yields[ji]
+		if floats.GreaterEq(y, 1) {
+			continue
 		}
-		// Keep the unvisited tail after the improved job, then restart.
-		if r+1 < len(active) {
-			w += copy(active[w:], active[r+1:])
+		// Maximum extra yield limited by the tightest node.
+		delta := math.Inf(1)
+		for _, nc := range pairs[off[ji]:off[ji+1]] {
+			head := c.CPUCap(nc.node) - used[nc.node]
+			if head < 0 {
+				head = 0
+			}
+			d := head / (j.CPUNeed * float64(nc.cnt))
+			if d < delta {
+				delta = d
+			}
 		}
-		active = active[:w]
+		if delta > 1-y {
+			delta = 1 - y
+		}
+		if !floats.Greater(delta, 0) {
+			continue
+		}
+		alloc.Yields[ji] = y + delta
+		for _, nc := range pairs[off[ji]:off[ji+1]] {
+			used[nc.node] += j.CPUNeed * float64(nc.cnt) * delta
+		}
 	}
 }
 

@@ -89,16 +89,16 @@ func (g *Scheduler) Name() string {
 }
 
 // CheckJob implements sim.CapacityChecker: a gang row runs at yield 1, so
-// within one row a node hosts at most floor(cpuCap/need) of the job's
-// tasks on top of the rigid limits. A job whose tasks exceed even a fresh
-// row on an empty cluster can never be admitted — without this veto it
-// would sit queued while the quantum timer re-arms forever. On the paper's
+// a fresh row on the empty cluster holds as many of the job's tasks as
+// cluster.Slots counts over every dimension, CPU included. A job whose
+// tasks exceed that can never be admitted — without this veto it would
+// sit queued while the quantum timer re-arms forever. On the paper's
 // platform (unit nodes, need and demands in (0,1], tasks <= nodes) every
 // node holds at least one task and the check never fires; it bites on
 // partially-equipped mixes (a CPU-hungry multi-task GPU job with fewer
 // GPU nodes than tasks).
 func (g *Scheduler) CheckJob(cl *cluster.Cluster, j workload.Job) error {
-	slots := sim.TaskSlots(cl.N(), j.Tasks, 0, cl.D(), j.Demand, cl.Cap)
+	slots := cluster.Slots(cl.N(), j.Tasks, cluster.DimCPU, cl.D(), j.Demand, cl.Cap)
 	if slots < j.Tasks {
 		return fmt.Errorf("gang: job %d needs %d tasks in one time slice but a fresh row on the empty cluster holds at most %d",
 			j.ID, j.Tasks, slots)
@@ -221,11 +221,11 @@ func (g *Scheduler) fitInRow(ctl *sim.Controller, ji sim.JobInfo, r *row, n int)
 		planRigid[ri] = make([]float64, n)
 	}
 	feasible := func(node int) bool {
-		if !floats.LessEq(r.load[node]+planLoad[node]+ji.Job.CPUNeed, ctl.CPUCap(node)) {
+		if !floats.LessEq(ji.Job.CPUNeed, ctl.CPUCap(node)-(r.load[node]+planLoad[node])) {
 			return false
 		}
 		for ri := range g.rigidUse {
-			if !floats.LessEq(g.rigidUse[ri][node]+planRigid[ri][node]+ji.Job.Demand(ri+1), ctl.ResCap(node, ri+1)) {
+			if !floats.LessEq(ji.Job.Demand(ri+1), ctl.ResCap(node, ri+1)-(g.rigidUse[ri][node]+planRigid[ri][node])) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package gang
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -118,6 +119,43 @@ func TestMultiTaskGang(t *testing.T) {
 	for _, jr := range res.Jobs {
 		if jr.Turnaround < jr.Job.ExecTime-1e-9 {
 			t.Errorf("job %d impossibly fast", jr.Job.ID)
+		}
+	}
+}
+
+// TestRowFilterCumulativeRule: a row takes another task on a node while
+// the task's demand fits the node's capacity net of the tasks already
+// there (cluster.NodeSlots' rule), not while the running sum plus the
+// demand stays within capacity. The two differ a rounding step above a
+// divisor of the capacity, where the sum form lets one task more share the
+// node. First-fit puts the spilled tasks on node 1.
+func TestRowFilterCumulativeRule(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		job  workload.Job
+		want []int
+	}{
+		{"memory above a half", jb(0, 0, 2, 0.1, 0.5000000005, 10), []int{0, 1}},
+		{"memory above a quarter", jb(0, 0, 4, 0.1, 0.25000000025, 10), []int{0, 0, 0, 1}},
+		{"cpu above a half", jb(0, 0, 2, 0.5000000005, 0.1, 10), []int{0, 1}},
+	} {
+		tr := &workload.Trace{Name: "gang-rule", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{c.job}}
+		var rec sim.Recorder
+		simulator, err := sim.New(sim.Config{Trace: tr, CheckInvariants: true, Observer: &rec}, New(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := simulator.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var started [][]int
+		for _, e := range rec.Events() {
+			if e.Kind == sim.EvStarted {
+				started = append(started, e.Nodes)
+			}
+		}
+		if len(started) != 1 || !slices.Equal(started[0], c.want) {
+			t.Errorf("%s: started on %v, want once on %v", c.name, started, c.want)
 		}
 	}
 }

@@ -234,8 +234,8 @@ func TestLinprioVariantRuns(t *testing.T) {
 }
 
 // TestRigidFeasible: forced admission's fit test is sched.SlotsCover over
-// free rigid rows (free[r][node] is dimension r+1), counted with the
-// placement loop's cumulative rule.
+// free rigid rows (free[r][node] is dimension r+1), counted with
+// cluster.NodeSlots.
 func TestRigidFeasible(t *testing.T) {
 	free := [][]float64{{0.5, 1.0, 0.25}}
 	fits := func(free [][]float64, tasks int, dems ...float64) bool {
@@ -257,7 +257,7 @@ func TestRigidFeasible(t *testing.T) {
 		t.Error("no nodes, no fit")
 	}
 	// Two tasks a rounding step above a half overflow a unit node under
-	// the loop's rule, though sim.TaskSlots' floor rule counts two slots.
+	// cluster.NodeSlots.
 	if fits([][]float64{{1}}, 2, 0.5000000005) {
 		t.Error("2 tasks of 0.5000000005 cannot share a unit node")
 	}
@@ -277,10 +277,8 @@ func TestRigidFeasible(t *testing.T) {
 
 // TestForcedAdmissionMemoryBoundary: on three unit nodes, job 0 holds 0.9
 // of node 0's memory when job 1 arrives with three tasks a rounding step
-// above half a node. Placement counts 0 + 1 + 1 slots, so job 1 only fits
-// once job 0 is paused; sim.TaskSlots' floor rule counts 0 + 2 + 2 and
-// would admit it without pausing anything, leaving the placement that
-// follows with no node.
+// above half a node. cluster.NodeSlots counts 0 + 1 + 1 slots, so job 1
+// only fits once job 0 is paused.
 func TestForcedAdmissionMemoryBoundary(t *testing.T) {
 	for _, alg := range []string{"greedy-pmtn", "greedy-pmtn-migr"} {
 		t.Run(alg, func(t *testing.T) {

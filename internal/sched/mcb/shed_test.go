@@ -36,7 +36,7 @@ func TestShedCountersPinned(t *testing.T) {
 		reschedules, solves, boundSkips, resums int
 	}{
 		{Options{}, 598, 1169, 14255, 0},
-		{Options{Period: DefaultPeriod, Stretch: true}, 936, 1467, 33709, 2},
+		{Options{Period: DefaultPeriod, Stretch: true}, 936, 1467, 33709, 0},
 	}
 	for _, tc := range cases {
 		s := New(tc.opt)
@@ -173,7 +173,7 @@ func (w *defCheck) definition(ctl *sim.Controller) (set []int, alloc *core.Alloc
 			core.AddRigidDemand(totals, &specs[i])
 		}
 		tried++
-		over := core.RigidOverflow(totals, core.AggregateCaps(nil, c))
+		over := core.RigidOverflow(totals, core.AggregateCaps(nil, c), c.N())
 		if over {
 			ruledOut++
 		}

@@ -6,6 +6,7 @@ package sched
 // greedy placement on heterogeneous clusters.
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -30,6 +31,13 @@ func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body
 // cluster, observer, objective); invariant checking is always on.
 func buildSimConfig(t *testing.T, cfg sim.Config, body func(ctl *sim.Controller)) {
 	t.Helper()
+	buildSimFull(t, cfg, func(_ *sim.Simulator, ctl *sim.Controller) { body(ctl) })
+}
+
+// buildSimFull is buildSimConfig whose body also gets the simulator.
+func buildSimFull(t *testing.T, cfg sim.Config, body func(s *sim.Simulator, ctl *sim.Controller)) {
+	t.Helper()
+	var simulator *sim.Simulator
 	done := false
 	// Finish every job so the simulation terminates: at each arrival and
 	// completion, greedy placement starts whatever pending job fits and
@@ -46,7 +54,7 @@ func buildSimConfig(t *testing.T, cfg sim.Config, body func(ctl *sim.Controller)
 		onArrival: func(ctl *sim.Controller, jid int) {
 			if jid == 0 && !done {
 				done = true
-				body(ctl)
+				body(simulator, ctl)
 			}
 			finish(ctl)
 		},
@@ -250,8 +258,9 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 
 // boundarySizes are memory and GPU demands whose running sums land on or a
 // rounding step off a node's capacity: tenths, quarters, thirds, sevenths,
-// halves, and quarters and halves raised by the few ulps that make
-// sim.TaskSlots' floor rule count one slot too many.
+// halves, and quarters and halves raised by the few ulps that a
+// floor((cap+Eps)/demand) count would take for one slot more than the
+// placement loop's.
 var boundarySizes = []float64{0.1, 0.25, 1.0 / 3, 1.0 / 7, 0.5, 0.25000000025, 0.5000000005}
 
 // TestIndexedPlacementBoundary is the same differential check where the
@@ -402,10 +411,12 @@ func placeAgainstRef(t *testing.T, seed int64, r *rand.Rand, cfg sim.Config, job
 // TestPlaceCumulativeSlotRule pins the rule the pre-check counts slots
 // with: a node takes tasks while the job's memory fits in its free memory
 // net of the tasks already taken, summed one task at a time — the leaf
-// values the placement loop queries — not sim.TaskSlots'
-// floor((free+Eps)/memReq), which counts one more slot just above a
-// divisor of the free memory. Node 0 has all its memory free; nodes 1..10
-// are full.
+// values the placement loop queries — not floor((free+Eps)/memReq), which
+// counts one more slot just above a divisor of the free memory. The
+// simulator's eager check counts the same way, and so does the federation's
+// dispatch view of the free capacity (FreeTaskSlots): one task just above
+// a half, as many as Place places. Node 0 has all its memory free; nodes
+// 1..10 are full.
 func TestPlaceCumulativeSlotRule(t *testing.T) {
 	const aboveHalf = 0.5000000005 // two of them overflow a unit node by a rounding step
 	tr := &workload.Trace{Name: "slots", Nodes: 11, NodeMemGB: 8, Jobs: []workload.Job{
@@ -415,7 +426,7 @@ func TestPlaceCumulativeSlotRule(t *testing.T) {
 		jb(3, 0, 2, 0.5, aboveHalf, 100),
 		jb(4, 0, 1, 0.5, aboveHalf, 100),
 	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
+	buildSimFull(t, sim.Config{Trace: tr}, func(s *sim.Simulator, ctl *sim.Controller) {
 		ctl.Start(0, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 		for _, c := range []struct {
 			name   string
@@ -436,9 +447,9 @@ func TestPlaceCumulativeSlotRule(t *testing.T) {
 				t.Errorf("%s: memSlotsCover(%g, %d) = %v, want %v", c.name, c.memReq, c.tasks, got, c.want)
 			}
 		}
-		free := func(node, _ int) float64 { return ctl.FreeMem(node) }
-		if got := sim.TaskSlots(ctl.NumNodes(), 2, 1, 2, func(int) float64 { return aboveHalf }, free); got != 2 {
-			t.Errorf("sim.TaskSlots counts %d slots of %g on the free node; this test assumes its floor rule counts 2", got, aboveHalf)
+		checkRejectedOnFree(t, ctl, jb(3, 0, 2, 0.5, aboveHalf, 100), 1)
+		if got := s.FreeTaskSlots(*ctl.JobRef(3)); got != 1 {
+			t.Errorf("FreeTaskSlots(job 3) = %d, want 1: Place fits job 4's one task and not job 3's two", got)
 		}
 		for _, c := range []struct {
 			jid  int
@@ -456,6 +467,31 @@ func TestPlaceCumulativeSlotRule(t *testing.T) {
 			}
 		}
 	})
+}
+
+// checkRejectedOnFree asserts that the simulator's eager check, asked of
+// job j on a cluster whose rigid capacities are ctl's free capacities now,
+// rejects it with the placement loop's slot count: sim.CanAdmit counts the
+// instance Place just failed on the same way. A node spec needs positive
+// memory, so a node whose memory is taken gets 1e-12, below any demand here.
+func checkRejectedOnFree(t *testing.T, ctl *sim.Controller, j workload.Job, slots int) {
+	t.Helper()
+	specs := make([]cluster.NodeSpec, ctl.NumNodes())
+	for node := range specs {
+		caps := cluster.Vec{ctl.CPUCap(node), max(ctl.FreeMem(node), 1e-12)}
+		for k := 2; k < ctl.NumDims(); k++ {
+			caps = append(caps, ctl.FreeRes(node, k))
+		}
+		specs[node] = cluster.NodeSpec{Caps: caps}
+	}
+	free, err := sim.New(sim.Config{Trace: &workload.Trace{Name: "free", Nodes: len(specs)}, Cluster: cluster.New(specs)}, &probe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ice *sim.InsufficientCapacityError
+	if err := free.CanAdmit(j); !errors.As(err, &ice) || ice.Slots != slots {
+		t.Errorf("CanAdmit(job %d) on the free capacity = %v, want an InsufficientCapacityError counting %d slots", j.ID, err, slots)
+	}
 }
 
 // TestPlaceAllocationFree: once its buffers have grown, Place allocates
@@ -602,7 +638,7 @@ func TestScanGPUBinds(t *testing.T) {
 		}{
 			{"two halves on node 0, one on node 1", 1, []int{0, 1, 0}},
 			{"a fourth half finds no GPU", 2, nil},
-			{"three tasks just above a half: the floor rule counts three slots, the loop two", 3, nil},
+			{"three tasks just above a half: two slots", 3, nil},
 			{"one task just above a half fits", 4, []int{0}},
 			{"no GPU demand: every node takes tasks", 5, []int{0, 1, 2, 0}},
 			{"quarters on the GPU nodes only", 6, []int{0, 1, 0}},
@@ -613,9 +649,6 @@ func TestScanGPUBinds(t *testing.T) {
 				t.Errorf("%s: Place = %v (ok %v), want %v; reference = %v (ok %v)", c.name, got, ok, c.want, want, wantOK)
 			}
 		}
-		free := func(node, k int) float64 { return ctl.FreeRes(node, k) }
-		if got := sim.TaskSlots(ctl.NumNodes(), 3, 2, 3, func(int) float64 { return aboveHalf }, free); got != 3 {
-			t.Errorf("sim.TaskSlots counts %d GPU slots of %g; this test assumes its floor rule counts 3", got, aboveHalf)
-		}
+		checkRejectedOnFree(t, ctl, gpuJob(3, 3, aboveHalf), 2)
 	})
 }

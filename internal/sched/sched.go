@@ -12,9 +12,8 @@
 // exactly the published GREEDY. A node keeps taking a job's identical
 // tasks until one of its rigid dimensions runs out, whichever node the
 // objective prefers, so the task loop fails exactly when the nodes' slots
-// fall short of the job's tasks. Place counts them first, with one rule
-// (nodeSlots: the loop's own cumulative arithmetic, per dimension, the
-// node holding the minimum over its dimensions), and rejects a job that
+// fall short of the job's tasks. Place counts them first with
+// cluster.NodeSlots, the loop's own rigid-fit rule, and rejects a job that
 // does not fit before choosing any node. Two selections then
 // place a job that fits. On the paper's two-resource platform with no
 // objective configured, memory is the only hard constraint: the count
@@ -31,6 +30,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/floats"
 	"repro/internal/placement"
@@ -257,42 +257,16 @@ func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]i
 	return ps.nodes, true
 }
 
-// nodeSlots is the one rule greedy placement counts a node's slots with:
-// how many identical tasks of demand dm the placement loop puts on a node
-// with free capacity free in one rigid dimension. The loop takes another
-// task while floats.LessEq(dm, free-acc), acc being the demand of the
-// tasks already taken, summed one dm at a time; the test is monotone in
-// acc, so the count is the first task it rejects. Counting stops at max.
-// (sim.TaskSlots' floor((free+Eps)/dm) differs at the boundary: it counts
-// one slot too many just above a divisor of free.)
-func nodeSlots(dm, free float64, max int) int {
-	k := 0
-	for acc := 0.0; k < max && floats.LessEq(dm, free-acc); acc += dm {
-		k++
-	}
-	return k
-}
-
 // SlotsCover reports whether the free rows hold tasks identical tasks of
 // demand dems, where free[r][node] is a node's free capacity in rigid
 // dimension r+1 (every platform has at least the memory row) and dems[r]
-// the task's demand there. A node holds the
-// minimum of its nodeSlots over the dimensions — the task loop stops on a
-// node as soon as one dimension runs out — so the placement loop, whatever
-// its objective picks, places every task exactly when SlotsCover holds.
-// Counting stops as soon as the tasks are covered.
+// the task's demand there. It counts with cluster.Slots, so the placement
+// loop, whatever its objective picks, places every task exactly when
+// SlotsCover holds.
 func SlotsCover(free [][]float64, dems []float64, tasks int) bool {
-	need := tasks
-	for node, n := 0, len(free[0]); node < n && need > 0; node++ {
-		k := need
-		for r, dm := range dems {
-			if k = nodeSlots(dm, free[r][node], k); k == 0 {
-				break
-			}
-		}
-		need -= k
-	}
-	return need <= 0
+	return cluster.Slots(len(free[0]), tasks, 0, len(dems),
+		func(r int) float64 { return dems[r] },
+		func(node, r int) float64 { return free[r][node] }) >= tasks
 }
 
 // memSlotsCover is SlotsCover on the two-resource platform, reading each
@@ -302,7 +276,7 @@ func SlotsCover(free [][]float64, dems []float64, tasks int) bool {
 func memSlotsCover(ctl *sim.Controller, memReq float64, tasks int) bool {
 	need := tasks
 	for node, n := 0, ctl.NumNodes(); node < n && need > 0; node++ {
-		need -= nodeSlots(memReq, ctl.FreeMem(node), need)
+		need -= cluster.NodeSlots(memReq, ctl.FreeMem(node), need)
 	}
 	return need <= 0
 }

@@ -56,14 +56,14 @@ func (s *Simulator) CanAdmit(j workload.Job) error {
 
 // FreeTaskSlots returns how many of job j's identical tasks the cluster
 // could host right now on its unallocated rigid capacity (memory and any
-// further rigid dimensions), capped at the job's task count. It applies the
-// shared TaskSlots rule to free rather than total capacity, so a cluster
+// further rigid dimensions), capped at the job's task count. It counts with
+// cluster.Slots on free rather than total capacity, so a cluster
 // whose memory is fully committed reports 0 even when the job is statically
 // schedulable — the "is there room right now" signal behind cost-aware
 // cloud bursting. CPU is fluid (jobs share it through yields) and never
 // constrains the count.
 func (s *Simulator) FreeTaskSlots(j workload.Job) int {
-	return TaskSlots(s.cl.N(), j.Tasks, cluster.DimMem, s.cl.D(), j.Demand,
+	return cluster.Slots(s.cl.N(), j.Tasks, cluster.DimMem, s.cl.D(), j.Demand,
 		func(node, k int) float64 {
 			return floats.NonNeg(s.cl.Cap(node, k) - s.usedRigid[k-1][node])
 		})

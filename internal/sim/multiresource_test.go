@@ -172,8 +172,8 @@ func TestGPUDemandExceedingEveryGPUNodeRejected(t *testing.T) {
 // queued while the quantum timer re-armed forever.
 func TestGangRejectsRowInfeasibleGPUJob(t *testing.T) {
 	// 8 nodes, 2 GPU nodes (gpu-bimodal layout): rigid slots = 2 nodes x
-	// floor(2/0.5) = 8 >= 4 (generic check passes), but CPU at yield 1
-	// allows floor(1/0.6) = 1 task per GPU node -> 2 < 4.
+	// 4 tasks of 0.5 GPU = 8 >= 4 (generic check passes), but CPU at
+	// yield 1 allows one task of 0.6 per GPU node -> 2 < 4.
 	tr := &workload.Trace{Name: "gang-row", Nodes: 8, NodeMemGB: 4, Jobs: []workload.Job{
 		{ID: 0, Submit: 0, Tasks: 4, CPUNeed: 0.6, MemReq: 0.1, ExecTime: 10, Extra: []float64{0.5}},
 	}}

@@ -487,9 +487,9 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 // node can never be placed (a job demanding a dimension the cluster does
 // not declare faces capacity 0 everywhere). A job's tasks are placed
 // simultaneously, so a job whose identical tasks cannot fit even an empty
-// cluster can never run under any scheduler: each node holds min over the
-// demanded rigid dimensions of floor(capacity/demand) tasks, and the total
-// must reach the task count. On the paper's platform (unit nodes, demands
+// cluster can never run under any scheduler: the empty cluster's slots,
+// counted over the rigid dimensions with cluster.Slots, must reach the
+// task count. On the paper's platform (unit nodes, demands
 // in (0,1], tasks <= nodes) neither check fires; they bite on
 // partially-equipped clusters (GPU mixes). Scheduler-specific admission
 // (see CapacityChecker) runs last.
@@ -510,7 +510,7 @@ func (s *Simulator) checkSchedulable(j workload.Job) error {
 			}
 		}
 	}
-	if slots := TaskSlots(s.cl.N(), j.Tasks, cluster.DimMem, d, j.Demand, s.cl.Cap); slots < j.Tasks {
+	if slots := cluster.Slots(s.cl.N(), j.Tasks, cluster.DimMem, d, j.Demand, s.cl.Cap); slots < j.Tasks {
 		return &InsufficientCapacityError{JobID: j.ID, Tasks: j.Tasks, Slots: slots}
 	}
 	if s.chk != nil {
@@ -954,38 +954,6 @@ func (s *Simulator) rescheduleCompletion() {
 		s.completionGen++
 		s.pendingComplete = s.queue.Push(earliest, completionEv{gen: s.completionGen})
 	}
-}
-
-// TaskSlots returns how many of a job's identical tasks the described
-// capacity can hold simultaneously, capped at tasks: each of the n nodes
-// holds the minimum over dimensions [loDim, hiDim) of
-// floor(capacity/demand), and the per-node counts are summed. Quotients
-// are compared in float before the int conversion — a tiny demand can
-// push them past the int range, where the conversion is
-// implementation-defined; counts at or above tasks are all equivalent.
-// Non-positive demands leave a dimension unconstrained. This is the one
-// slot-counting rule shared by the simulator's eager capacity check and
-// the scheduler-specific admission vetoes (gang rows, greedy forced
-// admission).
-func TaskSlots(n, tasks, loDim, hiDim int, demand func(k int) float64, capacity func(node, k int) float64) int {
-	slots := 0
-	for node := 0; node < n && slots < tasks; node++ {
-		nodeSlots := tasks
-		for k := loDim; k < hiDim; k++ {
-			dem := demand(k)
-			if dem <= 0 {
-				continue
-			}
-			if q := (capacity(node, k) + floats.Eps) / dem; q < float64(nodeSlots) {
-				nodeSlots = int(q)
-				if nodeSlots == 0 {
-					break
-				}
-			}
-		}
-		slots += nodeSlots
-	}
-	return slots
 }
 
 // resourceName names dimension k for error reporting, keeping the

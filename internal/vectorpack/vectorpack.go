@@ -305,6 +305,8 @@ type PackBuffer struct {
 	listFill []int
 	chains   []groupChain
 	free     []float64
+	used     []float64
+	left     []float64
 	dimOrder []int
 	// The pattern of the node being filled: each group it took once, as
 	// (list, position) in first-take order, with gTake[g] counting the
@@ -601,8 +603,8 @@ func (m MCB8) PackBuf(items []Item, nodes []cluster.NodeSpec, b *PackBuffer) ([]
 // leave the live set, so at every step of a later node the live set is a
 // subset of the live set at the same step of the recorded one. While every
 // pattern group still holds its per-node count, the group chosen at each
-// step is still live; the free vector has gone through the same
-// subtractions from the same capacities, so the headroom order and every
+// step is still live; the usage and remainder vectors have gone through
+// the same updates from the same capacities, so the headroom order and every
 // fit test repeat; and the first live fitting group of a list, taken from a
 // subset that still contains the recorded choice, is that same choice. The
 // seed repeats too: any other list's first fit can only move later in its
@@ -617,9 +619,11 @@ func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order [
 	assign := b.assign
 	if cap(b.free) < d {
 		b.free = make([]float64, d)
+		b.used = make([]float64, d)
+		b.left = make([]float64, d)
 		b.dimOrder = make([]int, d)
 	}
-	b.free, b.dimOrder = b.free[:d], b.dimOrder[:d]
+	b.free, b.used, b.left, b.dimOrder = b.free[:d], b.used[:d], b.left[:d], b.dimOrder[:d]
 	b.gTake = slices.Grow(b.gTake[:0], len(b.gCount))[:len(b.gCount)]
 	clear(b.gTake)
 	b.pattern = b.pattern[:0]
@@ -652,9 +656,11 @@ func (b *PackBuffer) fill(items []Item, nodes []cluster.NodeSpec, d int, order [
 // fillNode fills one node by the imbalance-window search, recording its
 // pattern, and returns the number of items placed.
 func (b *PackBuffer) fillNode(items []Item, node int, caps cluster.Vec, assign []int) int {
-	free, dimOrder := b.free, b.dimOrder
+	free, used, left, dimOrder := b.free, b.used, b.left, b.dimOrder
 	d := len(free)
 	copy(free, caps)
+	copy(left, caps)
+	clear(used)
 	for k := 0; k < d; k++ {
 		b.chains[k].startNode()
 	}
@@ -688,13 +694,17 @@ func (b *PackBuffer) fillNode(items []Item, node int, caps cluster.Vec, assign [
 	// equal-ratio nodes — every built-in d=2 profile and the reference node
 	// — this is exactly the absolute comparison of the published algorithm;
 	// ties keep the lower dimension first, the published CPU-primary rule).
+	// The order reads left, the capacity decremented item by item as
+	// published: its rounding decides which equal-ratio dimensions tie, and
+	// campaign outputs depend on it. Fit tests read free.
 	for idx >= 0 {
 		assign[idx] = node
-		for k := 0; k < d; k++ {
-			free[k] -= items[idx].Req[k]
+		occupy(free, used, caps, items[idx].Req)
+		for k, r := range items[idx].Req {
+			left[k] -= r
 		}
 		placed++
-		headroomOrder(free, caps, dimOrder)
+		headroomOrder(left, caps, dimOrder)
 		idx = -1
 		for _, k := range dimOrder {
 			if pos := b.chains[k].findFit(b, items, free); pos >= 0 {
@@ -813,7 +823,7 @@ func (p FirstFitDecreasing) Pack(items []Item, nodes []cluster.NodeSpec) ([]int,
 	for i := range assign {
 		assign[i] = -1
 	}
-	free := freeCaps(nodes, d)
+	free, used := freeCaps(nodes, d), make([]float64, len(nodes)*d)
 	for _, idx := range order {
 		placedNode := -1
 		for node := range nodes {
@@ -826,9 +836,8 @@ func (p FirstFitDecreasing) Pack(items []Item, nodes []cluster.NodeSpec) ([]int,
 			return nil, false
 		}
 		assign[idx] = placedNode
-		for k := 0; k < d; k++ {
-			free[placedNode*d+k] -= items[idx].Req[k]
-		}
+		row := placedNode * d
+		occupy(free[row:row+d], used[row:row+d], nodes[placedNode].Caps, items[idx].Req)
 	}
 	return assign, true
 }
@@ -868,7 +877,7 @@ func (p BestFitDecreasing) Pack(items []Item, nodes []cluster.NodeSpec) ([]int, 
 	for i := range assign {
 		assign[i] = -1
 	}
-	free := freeCaps(nodes, d)
+	free, used := freeCaps(nodes, d), make([]float64, len(nodes)*d)
 	for _, idx := range order {
 		best := -1
 		bestSlack := math.Inf(1)
@@ -890,9 +899,8 @@ func (p BestFitDecreasing) Pack(items []Item, nodes []cluster.NodeSpec) ([]int, 
 			return nil, false
 		}
 		assign[idx] = best
-		for k := 0; k < d; k++ {
-			free[best*d+k] -= items[idx].Req[k]
-		}
+		row := best * d
+		occupy(free[row:row+d], used[row:row+d], nodes[best].Caps, items[idx].Req)
 	}
 	return assign, true
 }
@@ -910,6 +918,7 @@ func packDecreasing(items []Item, nodes []cluster.NodeSpec, obj placement.Object
 		assign[i] = -1
 	}
 	st := packState{d: d, specs: nodes, free: freeCaps(nodes, d), norm: norm}
+	used := make([]float64, len(nodes)*d)
 	for _, idx := range order {
 		req := items[idx].Req
 		feasible := func(node int) bool {
@@ -920,9 +929,8 @@ func packDecreasing(items []Item, nodes []cluster.NodeSpec, obj placement.Object
 			return nil, false
 		}
 		assign[idx] = best
-		for k := 0; k < d; k++ {
-			st.free[best*d+k] -= req[k]
-		}
+		row := best * d
+		occupy(st.free[row:row+d], used[row:row+d], nodes[best].Caps, req)
 	}
 	return assign, true
 }
@@ -958,6 +966,17 @@ func sortedByNormMax(items []Item, norm cluster.Vec) []int {
 		return order[a] < order[b]
 	})
 	return order
+}
+
+// occupy adds req to a node's usage and sets its free vector to capacity
+// minus usage, so each later fit test is the cumulative rule of
+// cluster.NodeSlots, floats.LessEq(req, caps-used), rather than a test
+// against a vector decremented one item at a time.
+func occupy(free, used []float64, caps, req cluster.Vec) {
+	for k := range free {
+		used[k] += req[k]
+		free[k] = caps[k] - used[k]
+	}
 }
 
 // freeCaps returns the per-node free-capacity matrix (row-major, stride d)

@@ -2,10 +2,12 @@ package vectorpack
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/placement"
 )
 
 // newItem builds an item from explicit requirements; the first two are CPU
@@ -91,6 +93,34 @@ func TestPackExactFit(t *testing.T) {
 		}
 		if err := Validate(items, assign, cluster.Uniform(2)); err != nil {
 			t.Errorf("%s: %v", p.Name(), err)
+		}
+	}
+}
+
+// TestPackCumulativeFit: every packer tests an item against its node's
+// capacity net of the items already there (cluster.NodeSlots' rule), not
+// against a free vector decremented one item at a time. Thirteen items of
+// 0.07692307699999999 GPU fit the one unit GPU node under that rule; the
+// decremented vector drifts a rounding step low and refuses the
+// thirteenth. Two items a rounding step above half a node cannot share it.
+func TestPackCumulativeFit(t *testing.T) {
+	packers := slices.Concat(allPackers, []Packer{FirstFitDecreasing{Objective: placement.First{}}, BestFitDecreasing{Objective: placement.Cost{}}})
+	gpuNodes := []cluster.NodeSpec{cluster.Spec(1, 1, 1)}
+	for range 12 {
+		gpuNodes = append(gpuNodes, cluster.Spec(1, 1, 0))
+	}
+	gpu := newItem(0, 0.01, 0.07692307699999999)
+	gpuItems := make([]Item, 13)
+	for i := range gpuItems {
+		gpuItems[i] = gpu // shared Req: MCB8 packs them as one group
+	}
+	half := []Item{newItem(0.1, 0.5000000005), newItem(0.1, 0.5000000005)}
+	for _, p := range packers {
+		if assign, ok := p.Pack(gpuItems, gpuNodes); !ok || slices.ContainsFunc(assign, func(n int) bool { return n != 0 }) {
+			t.Errorf("%s: 13 GPU items = %v (ok %v), want all on node 0", p.Name(), assign, ok)
+		}
+		if assign, ok := p.Pack(half, cluster.Uniform(2)); !ok || assign[0] == assign[1] {
+			t.Errorf("%s: two items above half a node = %v (ok %v), want one per node", p.Name(), assign, ok)
 		}
 	}
 }
