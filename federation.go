@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 
 	"repro/internal/federation"
 	"repro/internal/sim"
@@ -299,8 +300,12 @@ func (r FederatedResult) Cost() float64 { return r.r.Merged.NodeCostSeconds }
 func (r FederatedResult) Events() int { return r.r.Merged.Events }
 
 // Jobs returns a copy of the per-job outcomes across all clusters,
-// ordered by job ID (empty when the run used WithJobSink or
-// WithOnlineMetrics).
+// ordered by job ID, with equal IDs in cluster order (empty when the run
+// used WithJobSink or WithOnlineMetrics).
 func (r FederatedResult) Jobs() []JobResult {
-	return append([]JobResult(nil), r.r.Merged.Jobs...)
+	n := r.r.NumJobs()
+	if n == 0 {
+		return nil
+	}
+	return slices.AppendSeq(make([]JobResult, 0, n), r.r.EachJob())
 }

@@ -124,8 +124,11 @@ func TestFederationMergedAggregates(t *testing.T) {
 		}
 	}
 	m := fed.r.Merged
-	if len(m.Jobs) != jobs || len(m.Jobs) != len(tr.t.Jobs) {
-		t.Errorf("merged jobs %d, members %d, trace %d", len(m.Jobs), jobs, len(tr.t.Jobs))
+	if n := fed.r.NumJobs(); n != jobs || n != len(tr.t.Jobs) {
+		t.Errorf("merged jobs %d, members %d, trace %d", n, jobs, len(tr.t.Jobs))
+	}
+	if len(m.Jobs) != 0 {
+		t.Errorf("merged result holds %d job records; the members' are the only copy", len(m.Jobs))
 	}
 	if m.Events != events {
 		t.Errorf("merged events %d != sum %d", m.Events, events)
@@ -142,8 +145,12 @@ func TestFederationMergedAggregates(t *testing.T) {
 	if cost <= 0 {
 		t.Errorf("priced remote accrued no cost")
 	}
-	for i := 1; i < len(m.Jobs); i++ {
-		if m.Jobs[i].Job.ID < m.Jobs[i-1].Job.ID {
+	merged := fed.Jobs()
+	if len(merged) != jobs {
+		t.Errorf("Jobs() returned %d records, members hold %d", len(merged), jobs)
+	}
+	for i := 1; i < len(merged); i++ {
+		if merged[i].Job.ID < merged[i-1].Job.ID {
 			t.Fatalf("merged jobs not sorted by ID at %d", i)
 		}
 	}

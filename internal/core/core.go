@@ -168,8 +168,9 @@ type jobKey struct {
 // outcome without probing: the failure again, or the winning base yield
 // with the assignment of the winning probe, which no call has overwritten
 // since. This is exact (see the package doc). MinEstimatedStretch depends
-// on the clock through flow and virtual times, so it always probes, and it
-// drops the remembered outcome. Only one outcome is kept.
+// on the clock through flow and virtual times, so it always probes (it only
+// skips a probe whose yields repeat the previous probe's), and it drops the
+// remembered outcome. Only one outcome is kept.
 type Workspace struct {
 	probe packProbe
 	specs []JobSpec
@@ -177,6 +178,9 @@ type Workspace struct {
 	// Reuses counts the MaxMinYield calls answered from the previous
 	// call's outcome.
 	Reuses int
+	// ProbeRepeats counts the MinEstimatedStretch probes answered from
+	// the previous probe's outcome, because their yields were the same.
+	ProbeRepeats int
 }
 
 // lastSolve is the outcome of a workspace's previous MaxMinYield call,
@@ -679,11 +683,25 @@ func (w *Workspace) MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster,
 	}
 	p := &w.probe
 	p.reset(specs, c, packer)
+	// A probe whose yields equal the previous probe's, bit for bit, has
+	// that probe's outcome without packing: the packer is deterministic,
+	// and a success left its assignment in best, which no probe has
+	// overwritten since. In the doubling phase every job whose needed
+	// yield exceeds 1 is clamped to 1, so consecutive targets often repeat.
+	probed, last := false, false
 	try := func(target float64) bool {
+		same := probed
 		for i := range jobs {
-			p.yields[i] = yieldForStretchTarget(jobs[i], T, target)
+			y := yieldForStretchTarget(jobs[i], T, target)
+			same = same && math.Float64bits(y) == math.Float64bits(p.yields[i])
+			p.yields[i] = y
 		}
-		return p.pack()
+		if same {
+			w.ProbeRepeats++
+			return last
+		}
+		probed, last = true, p.pack()
+		return last
 	}
 	// Even an infinite target leaves every job its 0.01 floor yield; if
 	// that is infeasible the instance is memory-bound and the caller must

@@ -1,131 +1,146 @@
 // Package eventq implements the event calendar used by the discrete-event
-// simulator: a binary min-heap ordered by (time, sequence) with O(log n)
-// insertion, extraction and cancellation. The sequence number breaks ties so
-// that events scheduled earlier fire first at equal timestamps, which keeps
-// simulations fully deterministic.
+// simulator: a binary min-heap of timers ordered by (time, sequence), plus
+// one armed slot beside the heap for the simulator's single tentative
+// completion. The sequence number breaks ties so that events scheduled
+// earlier fire first at equal timestamps, which keeps simulations fully
+// deterministic.
 //
-// Cancellation is by handle: Push returns the *Event, and Cancel removes it
-// from the heap in O(log n) by its tracked index. The simulator leans on
-// this to keep a single tentative completion event armed — every yield
-// change cancels and re-pushes it rather than letting stale events
-// accumulate.
+// Entries are values: the heap is a slice of Event, so pushing, popping and
+// re-arming allocate nothing once the slice has grown to the run's largest
+// calendar. There is no cancellation by handle. The one entry the simulator
+// replaces on every event — the earliest tentative completion across
+// running jobs — lives in the armed slot: Arm replaces it and Disarm clears
+// it. Each Arm takes a fresh sequence number from the same counter as Push,
+// so the calendar orders it exactly as if it had been cancelled and pushed
+// again.
 package eventq
 
-// Event is an entry in the calendar. The payload is opaque to the queue.
+// Event is an entry in the calendar.
 type Event struct {
-	Time    float64
-	Seq     uint64 // insertion order; tie-breaker at equal times
-	Payload any
+	Time float64
+	Seq  uint64 // insertion order; tie-breaker at equal times
+	Tag  int64  // the timer's tag as pushed; 0 for the armed entry
+}
 
-	index int // position in the heap, -1 when removed
+// before reports whether e fires before o: earlier time, or equal time and
+// earlier sequence.
+func (e Event) before(o Event) bool {
+	if e.Time != o.Time {
+		return e.Time < o.Time
+	}
+	return e.Seq < o.Seq
 }
 
 // Queue is a time-ordered event calendar. The zero value is ready to use.
 // It is not safe for concurrent use.
 type Queue struct {
-	heap []*Event
-	seq  uint64
+	heap    []Event
+	seq     uint64
+	armed   Event
+	isArmed bool
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
+// Len returns the number of pending events, the armed entry included.
+func (q *Queue) Len() int {
+	if q.isArmed {
+		return len(q.heap) + 1
+	}
+	return len(q.heap)
+}
 
 // Empty reports whether no events are pending.
-func (q *Queue) Empty() bool { return len(q.heap) == 0 }
+func (q *Queue) Empty() bool { return q.Len() == 0 }
 
-// Push schedules payload at the given time and returns a handle that can be
-// passed to Cancel.
-func (q *Queue) Push(time float64, payload any) *Event {
+// Push schedules a timer with the given tag at the given time.
+func (q *Queue) Push(time float64, tag int64) {
 	q.seq++
-	e := &Event{Time: time, Seq: q.seq, Payload: payload, index: len(q.heap)}
-	q.heap = append(q.heap, e)
-	q.up(e.index)
-	return e
+	q.heap = append(q.heap, Event{Time: time, Seq: q.seq, Tag: tag})
+	q.up(len(q.heap) - 1)
 }
 
-// Peek returns the earliest pending event without removing it, or nil if the
+// Arm sets the armed entry to fire at the given time, replacing any armed
+// entry. It always takes a fresh sequence number, even when the time is
+// unchanged, so timers pushed since the previous Arm at the same time fire
+// before it.
+func (q *Queue) Arm(time float64) {
+	q.seq++
+	q.armed = Event{Time: time, Seq: q.seq}
+	q.isArmed = true
+}
+
+// Disarm clears the armed entry, if any.
+func (q *Queue) Disarm() { q.isArmed = false }
+
+// Peek returns the earliest pending event without removing it; ok is false
+// if the queue is empty.
+func (q *Queue) Peek() (e Event, ok bool) {
+	e, _, ok = q.head()
+	return e, ok
+}
+
+// Pop removes and returns the earliest pending event. armed reports
+// whether it was the armed entry, which Pop disarms; ok is false if the
 // queue is empty.
-func (q *Queue) Peek() *Event {
+func (q *Queue) Pop() (e Event, armed, ok bool) {
+	e, armed, ok = q.head()
+	switch {
+	case !ok:
+	case armed:
+		q.isArmed = false
+	default:
+		last := len(q.heap) - 1
+		q.heap[0] = q.heap[last]
+		q.heap = q.heap[:last]
+		if last > 0 {
+			q.down(0)
+		}
+	}
+	return e, armed, ok
+}
+
+// head returns the earliest of the heap's root and the armed entry.
+func (q *Queue) head() (e Event, armed, ok bool) {
+	if q.isArmed && (len(q.heap) == 0 || q.armed.before(q.heap[0])) {
+		return q.armed, true, true
+	}
 	if len(q.heap) == 0 {
-		return nil
+		return Event{}, false, false
 	}
-	return q.heap[0]
+	return q.heap[0], false, true
 }
 
-// Pop removes and returns the earliest pending event, or nil if the queue is
-// empty.
-func (q *Queue) Pop() *Event {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	e := q.heap[0]
-	q.removeAt(0)
-	return e
-}
-
-// Cancel removes a previously pushed event. It reports whether the event was
-// still pending; cancelling an already-fired or already-cancelled event is a
-// harmless no-op returning false.
-func (q *Queue) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
-		return false
-	}
-	q.removeAt(e.index)
-	return true
-}
-
-func (q *Queue) removeAt(i int) {
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	removed := q.heap[last]
-	q.heap = q.heap[:last]
-	removed.index = -1
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-}
-
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Seq < b.Seq
-}
-
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
-}
-
+// up moves the entry at i towards the root until its parent fires first.
 func (q *Queue) up(i int) {
+	e := q.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
+		if !e.before(q.heap[parent]) {
+			break
 		}
-		q.swap(i, parent)
+		q.heap[i] = q.heap[parent]
 		i = parent
 	}
+	q.heap[i] = e
 }
 
+// down moves the entry at i towards the leaves until it fires before both
+// children.
 func (q *Queue) down(i int) {
 	n := len(q.heap)
+	e := q.heap[i]
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
+		if right := child + 1; right < n && q.heap[right].before(q.heap[child]) {
+			child = right
 		}
-		if !q.less(smallest, i) {
-			return
+		if !q.heap[child].before(e) {
+			break
 		}
-		q.swap(i, smallest)
-		i = smallest
+		q.heap[i] = q.heap[child]
+		i = child
 	}
+	q.heap[i] = e
 }

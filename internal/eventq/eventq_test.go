@@ -8,106 +8,159 @@ import (
 	"testing/quick"
 )
 
+// popTag pops the head and returns its tag, failing on an empty queue or
+// on the armed entry.
+func popTag(t *testing.T, q *Queue) int64 {
+	t.Helper()
+	e, armed, ok := q.Pop()
+	if !ok || armed {
+		t.Fatalf("Pop = %+v armed=%v ok=%v, want a timer", e, armed, ok)
+	}
+	return e.Tag
+}
+
 func TestPopOrder(t *testing.T) {
 	var q Queue
-	q.Push(3, "c")
-	q.Push(1, "a")
-	q.Push(2, "b")
-	var got []string
+	q.Push(3, 'c')
+	q.Push(1, 'a')
+	q.Push(2, 'b')
+	var got []int64
 	for !q.Empty() {
-		got = append(got, q.Pop().Payload.(string))
+		got = append(got, popTag(t, &q))
 	}
-	want := []string{"a", "b", "c"}
+	want := []int64{'a', 'b', 'c'}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
+			t.Fatalf("pop order %q, want %q", got, want)
 		}
+	}
+	if _, _, ok := q.Pop(); ok {
+		t.Error("Pop on an empty queue reported an event")
 	}
 }
 
 func TestTieBreakBySequence(t *testing.T) {
 	var q Queue
-	q.Push(5, "first")
-	q.Push(5, "second")
-	q.Push(5, "third")
-	if got := q.Pop().Payload.(string); got != "first" {
-		t.Errorf("first pop = %q", got)
+	q.Push(5, 1)
+	q.Push(5, 2)
+	q.Push(5, 3)
+	if got := popTag(t, &q); got != 1 {
+		t.Errorf("first pop = %d", got)
 	}
-	if got := q.Pop().Payload.(string); got != "second" {
-		t.Errorf("second pop = %q", got)
+	if got := popTag(t, &q); got != 2 {
+		t.Errorf("second pop = %d", got)
 	}
 }
 
 func TestPeek(t *testing.T) {
 	var q Queue
-	if q.Peek() != nil {
-		t.Error("Peek on empty queue should be nil")
+	if _, ok := q.Peek(); ok {
+		t.Error("Peek on empty queue reported an event")
 	}
-	q.Push(2, "x")
-	q.Push(1, "y")
-	if got := q.Peek().Payload.(string); got != "y" {
-		t.Errorf("Peek = %q, want y", got)
+	q.Push(2, 'x')
+	q.Push(1, 'y')
+	if e, ok := q.Peek(); !ok || e.Tag != 'y' {
+		t.Errorf("Peek = %+v, want y", e)
 	}
-	if q.Len() != 2 {
-		t.Errorf("Peek consumed an event")
+	q.Arm(0.5)
+	if e, ok := q.Peek(); !ok || e.Time != 0.5 || e.Seq != 3 {
+		t.Errorf("Peek = %+v, want the armed entry at 0.5 with seq 3", e)
+	}
+	if q.Len() != 3 {
+		t.Errorf("Len = %d after Peek, want 3", q.Len())
 	}
 }
 
-func TestCancel(t *testing.T) {
+// TestArmReplaces: the armed slot holds one entry; a second Arm replaces
+// the first, popping it disarms the slot, and Disarm on an empty slot is a
+// no-op.
+func TestArmReplaces(t *testing.T) {
 	var q Queue
-	a := q.Push(1, "a")
-	b := q.Push(2, "b")
-	c := q.Push(3, "c")
-	if !q.Cancel(b) {
-		t.Error("Cancel of pending event returned false")
+	q.Disarm()
+	q.Arm(2)
+	q.Push(1, 'a')
+	q.Push(3, 'c')
+	q.Arm(2.5)
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 (two timers and one armed entry)", q.Len())
 	}
-	if q.Cancel(b) {
-		t.Error("double Cancel returned true")
+	if got := popTag(t, &q); got != 'a' {
+		t.Errorf("first pop = %q, want a", got)
 	}
-	if q.Cancel(nil) {
-		t.Error("Cancel(nil) returned true")
+	e, armed, ok := q.Pop()
+	if !ok || !armed || e.Time != 2.5 || e.Seq != 4 {
+		t.Errorf("second pop = %+v armed=%v, want the re-armed entry at 2.5 with seq 4", e, armed)
 	}
-	if got := q.Pop(); got != a {
-		t.Errorf("pop after cancel = %v", got.Payload)
+	if q.Len() != 1 {
+		t.Errorf("Len = %d after popping the armed entry, want 1", q.Len())
 	}
-	if got := q.Pop(); got != c {
-		t.Errorf("pop after cancel = %v", got.Payload)
+	if got := popTag(t, &q); got != 'c' {
+		t.Errorf("third pop = %q, want c", got)
 	}
 	if !q.Empty() {
 		t.Error("queue should be empty")
 	}
-	if q.Cancel(a) {
-		t.Error("Cancel of popped event returned true")
-	}
 }
 
-func TestCancelHead(t *testing.T) {
+// TestDisarmHead: disarming an armed entry at the head exposes the timer
+// behind it.
+func TestDisarmHead(t *testing.T) {
 	var q Queue
-	a := q.Push(1, "a")
-	q.Push(2, "b")
-	q.Cancel(a)
-	if got := q.Pop().Payload.(string); got != "b" {
-		t.Errorf("pop = %q, want b after cancelling head", got)
+	q.Arm(1)
+	q.Push(2, 'b')
+	q.Disarm()
+	if got := popTag(t, &q); got != 'b' {
+		t.Errorf("pop = %q, want b after disarming the head", got)
+	}
+	if !q.Empty() {
+		t.Error("queue should be empty")
 	}
 }
 
-// Property: popping always yields non-decreasing times, with cancellations
-// interleaved at random.
+// TestRearmSameTimeTakesFreshSeq: re-arming at an unchanged time still
+// takes a fresh sequence number, so a timer pushed at that time between the
+// two Arm calls fires first — exactly as if the completion had been
+// cancelled and pushed again.
+func TestRearmSameTimeTakesFreshSeq(t *testing.T) {
+	var q Queue
+	q.Arm(5)
+	if e, armed, _ := q.head(); !armed || e.Seq != 1 {
+		t.Fatalf("head = %+v armed=%v, want the armed entry with seq 1", e, armed)
+	}
+	q.Push(5, 7)
+	if e, armed, _ := q.head(); !armed || e.Seq != 1 {
+		t.Fatalf("head = %+v armed=%v, want the armed entry (seq 1) before the timer (seq 2)", e, armed)
+	}
+	q.Arm(5)
+	if got := popTag(t, &q); got != 7 {
+		t.Fatalf("first pop = %d, want the timer pushed before the re-arm", got)
+	}
+	e, armed, ok := q.Pop()
+	if !ok || !armed || e.Time != 5 || e.Seq != 3 {
+		t.Errorf("second pop = %+v armed=%v, want the armed entry at 5 with seq 3", e, armed)
+	}
+}
+
+// Property: popping always yields non-decreasing times, with arms and
+// disarms interleaved at random.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(seed int64, times []float64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var q Queue
-		var handles []*Event
-		for _, tm := range times {
-			handles = append(handles, q.Push(tm, nil))
-			if len(handles) > 1 && r.Intn(4) == 0 {
-				victim := handles[r.Intn(len(handles))]
-				q.Cancel(victim)
+		for i, tm := range times {
+			switch r.Intn(4) {
+			case 0:
+				q.Arm(tm)
+			case 1:
+				q.Disarm()
+				q.Push(tm, int64(i))
+			default:
+				q.Push(tm, int64(i))
 			}
 		}
 		prev := math.Inf(-1)
 		for !q.Empty() {
-			e := q.Pop()
+			e, _, _ := q.Pop()
 			if e.Time < prev {
 				return false
 			}
@@ -120,23 +173,24 @@ func TestHeapOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: without cancellation the queue is a stable sort by (time, seq).
+// Property: without the armed slot the queue is a stable sort by (time,
+// seq).
 func TestStableSortProperty(t *testing.T) {
 	f := func(times []float64) bool {
 		var q Queue
 		type tagged struct {
 			t   float64
-			idx int
+			idx int64
 		}
 		var want []tagged
 		for i, tm := range times {
-			q.Push(tm, i)
-			want = append(want, tagged{tm, i})
+			q.Push(tm, int64(i))
+			want = append(want, tagged{tm, int64(i)})
 		}
 		sort.SliceStable(want, func(a, b int) bool { return want[a].t < want[b].t })
 		for _, w := range want {
-			e := q.Pop()
-			if e.Time != w.t || e.Payload.(int) != w.idx {
+			e, armed, ok := q.Pop()
+			if !ok || armed || e.Time != w.t || e.Tag != w.idx {
 				return false
 			}
 		}
@@ -148,84 +202,85 @@ func TestStableSortProperty(t *testing.T) {
 }
 
 // TestRandomizedAgainstReference drives a long random interleaving of
-// Push, Pop, Cancel and Peek against a reference model — a list kept
-// sorted by (time, seq) — and demands the queue agree with the model at
-// every step, handle for handle. Times are drawn from a small discrete set
-// so equal-time ties (broken by insertion sequence) occur constantly.
+// Push, Pop, Arm, Disarm and Peek against a reference model — a list kept
+// sorted by (time, seq), in which the armed entry is one more element — and
+// demands the queue agree with the model at every step, entry for entry.
+// Times are drawn from a small discrete set so equal-time ties (broken by
+// sequence) occur constantly, re-arms at an unchanged time included.
 func TestRandomizedAgainstReference(t *testing.T) {
+	type entry struct {
+		e     Event
+		armed bool
+	}
 	r := rand.New(rand.NewSource(99))
 	var q Queue
-	var ref []*Event  // pending events, sorted by (Time, Seq)
-	var dead []*Event // popped or cancelled handles; Cancel must reject them
+	var ref []entry // pending entries, sorted by (Time, Seq)
+	var seq uint64
 
-	insert := func(e *Event) {
-		at := sort.Search(len(ref), func(i int) bool {
-			if ref[i].Time != e.Time {
-				return ref[i].Time > e.Time
-			}
-			return ref[i].Seq > e.Seq
-		})
-		ref = append(ref, nil)
+	insert := func(x entry) {
+		at := sort.Search(len(ref), func(i int) bool { return x.e.before(ref[i].e) })
+		ref = append(ref, entry{})
 		copy(ref[at+1:], ref[at:])
-		ref[at] = e
+		ref[at] = x
+	}
+	disarm := func() {
+		for i := range ref {
+			if ref[i].armed {
+				ref = append(ref[:i], ref[i+1:]...)
+				return
+			}
+		}
 	}
 
 	check := func(step int) {
 		if q.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, model has %d", step, q.Len(), len(ref))
 		}
-		head := q.Peek()
+		head, ok := q.Peek()
 		switch {
-		case len(ref) == 0 && head != nil:
-			t.Fatalf("step %d: Peek = %v on empty model", step, head)
-		case len(ref) > 0 && head != ref[0]:
-			t.Fatalf("step %d: Peek = %+v, model head %+v", step, head, ref[0])
+		case len(ref) == 0 && ok:
+			t.Fatalf("step %d: Peek = %+v on empty model", step, head)
+		case len(ref) > 0 && (!ok || head != ref[0].e):
+			t.Fatalf("step %d: Peek = %+v, model head %+v", step, head, ref[0].e)
 		}
 	}
 
 	for step := 0; step < 5000; step++ {
 		switch op := r.Intn(10); {
-		case op < 5: // push, times from {0..7} to force ties
-			insert(q.Push(float64(r.Intn(8)), step))
-		case op < 8: // pop
-			got := q.Pop()
+		case op < 4: // push, times from {0..7} to force ties
+			tm := float64(r.Intn(8))
+			q.Push(tm, int64(step))
+			seq++
+			insert(entry{e: Event{Time: tm, Seq: seq, Tag: int64(step)}})
+		case op < 7: // pop
+			got, armed, ok := q.Pop()
 			if len(ref) == 0 {
-				if got != nil {
+				if ok {
 					t.Fatalf("step %d: Pop = %+v on empty model", step, got)
 				}
 				break
 			}
-			if got != ref[0] {
-				t.Fatalf("step %d: Pop = %+v, model head %+v", step, got, ref[0])
+			if !ok || got != ref[0].e || armed != ref[0].armed {
+				t.Fatalf("step %d: Pop = %+v armed=%v, model head %+v", step, got, armed, ref[0])
 			}
-			dead = append(dead, got)
 			ref = ref[1:]
-		case op < 9: // cancel a pending event
-			if len(ref) == 0 {
-				break
-			}
-			i := r.Intn(len(ref))
-			victim := ref[i]
-			if !q.Cancel(victim) {
-				t.Fatalf("step %d: Cancel of pending event %+v returned false", step, victim)
-			}
-			dead = append(dead, victim)
-			ref = append(ref[:i], ref[i+1:]...)
-		default: // cancel an already-dead handle: must be a no-op
-			if len(dead) == 0 {
-				break
-			}
-			if q.Cancel(dead[r.Intn(len(dead))]) {
-				t.Fatalf("step %d: Cancel of dead handle returned true", step)
-			}
+		case op < 9: // (re-)arm
+			tm := float64(r.Intn(8))
+			q.Arm(tm)
+			disarm()
+			seq++
+			insert(entry{e: Event{Time: tm, Seq: seq}, armed: true})
+		default:
+			q.Disarm()
+			disarm()
 		}
 		check(step)
 	}
 
 	// Drain: remaining events must come out in exact model order.
 	for len(ref) > 0 {
-		if got := q.Pop(); got != ref[0] {
-			t.Fatalf("drain: Pop = %+v, model head %+v", got, ref[0])
+		if got, armed, ok := q.Pop(); !ok || got != ref[0].e || armed != ref[0].armed {
+			t.Fatalf("drain: Pop = %+v armed=%v, model head %+v", got, armed, ref[0])
 		}
 		ref = ref[1:]
 	}
@@ -234,11 +289,30 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	}
 }
 
+// TestPushPopAllocationFree: once the heap has grown, pushing, popping and
+// re-arming allocate nothing.
+func TestPushPopAllocationFree(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var q Queue
+	for i := 0; i < 64; i++ {
+		q.Push(r.Float64(), int64(i))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e, _, _ := q.Pop()
+		q.Push(e.Time+r.Float64(), e.Tag)
+		q.Arm(e.Time + r.Float64())
+	})
+	if allocs != 0 {
+		t.Errorf("warm Pop/Push/Arm allocates %v times per run, want 0", allocs)
+	}
+}
+
 func BenchmarkPushPop(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var q Queue
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Push(r.Float64(), nil)
+		q.Push(r.Float64(), int64(i))
 		if q.Len() > 1024 {
 			q.Pop()
 		}

@@ -266,7 +266,7 @@ func (c *Controller) SetTimer(at float64, tag int64) {
 	if at < c.sim.now {
 		panic(fmt.Sprintf("sim: timer at %.3f in the past (now %.3f)", at, c.sim.now))
 	}
-	c.sim.queue.Push(at, timerEv{tag: tag})
+	c.sim.queue.Push(at, tag)
 }
 
 // Start dispatches pending job jid onto the given nodes (one entry per

@@ -60,6 +60,12 @@ type UnschedulableError = sim.UnschedulableError
 // RunFederated fail when the job is dispatched, wrapping this error.
 type InsufficientCapacityError = sim.InsufficientCapacityError
 
+// LivelockError reports a run whose scheduler kept processing timer and
+// completion events at one simulated instant — more than 2^20 in a row —
+// without the clock moving. Run, Campaign and RunFederated fail with it,
+// wrapped, instead of hanging.
+type LivelockError = sim.LivelockError
+
 // JobResult records the outcome of one job of a finished run.
 type JobResult = sim.JobResult
 
