@@ -82,8 +82,9 @@ func goldenGrids() map[string]dfrs.Grid {
 
 	// Every scheduler family's node selection — batch, gang, greedy and
 	// DYNMCB8-ASAP's immediate placement — on the two-resource bimodal
-	// mixes (the greedy node-index path) and the three-resource GPU mix
-	// (the greedy scan), under the family default and the cost objective.
+	// mixes (greedy's default picks come from the node index) and the
+	// three-resource GPU mix (every greedy pick is a placement.Pick scan),
+	// under the family default and the cost objective.
 	families := base("placement-families", []string{
 		"fcfs", "easy", "conservative", "gang", "greedy", "greedy-pmtn", "dynmcb8-asap-per",
 	})

@@ -196,22 +196,19 @@ func (g *Greedy) forceAdmission(ctl *sim.Controller, jid int) {
 }
 
 // liveRows sets forced admission's rows to the simulator's current rigid
-// usage and free capacity.
+// usage and free capacity, copying the free rows (Controller.FreeRows).
 func (g *Greedy) liveRows(ctl *sim.Controller) {
-	n, rigid := ctl.NumNodes(), ctl.NumDims()-1
-	if len(g.used) != rigid {
-		g.used = make([][]float64, rigid)
-		g.free = make([][]float64, rigid)
+	n, free := ctl.NumNodes(), ctl.FreeRows()
+	if len(g.used) != len(free) {
+		g.used = make([][]float64, len(free))
+		g.free = make([][]float64, len(free))
 	}
 	for r := range g.used {
 		g.used[r] = slices.Grow(g.used[r][:0], n)[:n]
-		g.free[r] = slices.Grow(g.free[r][:0], n)[:n]
+		g.free[r] = append(g.free[r][:0], free[r]...)
 		for node := 0; node < n; node++ {
 			g.used[r][node] = ctl.UsedRes(node, r+1)
 		}
-	}
-	for node := 0; node < n; node++ {
-		g.setFree(ctl, node)
 	}
 }
 
@@ -280,9 +277,9 @@ func (g *Greedy) release(j *workload.Job, node int) {
 	}
 }
 
-// setFree derives node's free rows from its usage rows as
-// Controller.FreeRes does: capacity minus usage, rounding residue snapped
-// to zero.
+// setFree derives node's free rows from its usage rows as the simulator
+// derives its own (Controller.FreeRows): capacity minus usage, rounding
+// residue snapped to zero.
 func (g *Greedy) setFree(ctl *sim.Controller, node int) {
 	for r, used := range g.used {
 		g.free[r][node] = floats.NonNeg(ctl.ResCap(node, r+1) - used[node])

@@ -1,9 +1,10 @@
 package sched
 
-// Tests for greedy placement's two selections — the node-index query on
-// the two-resource platform and the placement.Pick scan everywhere else —
-// against refPlace, the definition they implement, and for capacity-aware
-// greedy placement on heterogeneous clusters.
+// Tests for greedy placement's task loop — its two picks, the node-index
+// query for LoadBalance on the two-resource platform and the
+// placement.Pick scan everywhere else — against refPlace, the definition
+// they implement, and for capacity-aware greedy placement on heterogeneous
+// clusters.
 
 import (
 	"errors"
@@ -129,8 +130,9 @@ func refPlace(ctl *sim.Controller, jid int) ([]int, bool) {
 }
 
 // scanCase is one platform a greedy placement test runs on: the
-// two-resource cluster (node-index path) or the same capacities with a
-// GPU dimension added (placement.Pick scan path).
+// two-resource cluster (LoadBalance picks come from the node index) or the
+// same capacities with a GPU dimension added (every pick is a
+// placement.Pick scan).
 type scanCase struct {
 	name string
 	cl   *cluster.Cluster
@@ -227,17 +229,14 @@ func snapshotIndex(ctl *sim.Controller) indexSnapshot {
 }
 
 // TestIndexedPlacementMatchesScan is the differential check of the node
-// index path: on random two-resource controller states with multi-task
-// jobs, Place (which answers from the index when no objective is
-// configured) must choose exactly the nodes of refPlace under LoadBalance,
-// and the index must read the same before and after every call — on
-// success and on failure — and agree with the live per-node values, so no
-// tentative overlay leaks into the simulator.
+// index pick: on random two-resource controller states with multi-task
+// jobs, Place (which answers from the index under LoadBalance, configured
+// or by default) must choose exactly the nodes of refPlace, and the index
+// must read the same before and after every call — on success and on
+// failure — and agree with the live per-node values, so no tentative
+// overlay leaks into the simulator.
 func TestIndexedPlacementMatchesScan(t *testing.T) {
-	var placed, failed int
-	for seed := int64(1); seed <= 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(14)
+	indexedBattery(t, 60, 50, 50, func(r *rand.Rand, n int) ([]cluster.NodeSpec, []workload.Job) {
 		caps := []float64{0.5, 1, 2}
 		specs := make([]cluster.NodeSpec, n)
 		for i := range specs {
@@ -247,12 +246,34 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = jb(i, 0, 1+r.Intn(min(6, n)), 0.05+0.95*r.Float64(), 0.05+0.45*r.Float64(), 10+100*r.Float64())
 		}
-		p, f := placeAgainstRef(t, seed, r, sim.Config{Cluster: cluster.New(specs)}, jobs)
-		placed += p
-		failed += f
-	}
-	if placed < 50 || failed < 50 {
-		t.Fatalf("battery too one-sided: %d placements, %d failures", placed, failed)
+		return specs, jobs
+	})
+}
+
+// indexedBattery runs placeAgainstRef on seeds 1..seeds of the two-resource
+// instances gen draws (n is the node count), once with no objective and
+// once with LoadBalance configured, each on the same instance, and fails
+// unless each objective saw at least minPlaced placements and minFailed
+// failures.
+func indexedBattery(t *testing.T, seeds int64, minPlaced, minFailed int, gen func(r *rand.Rand, n int) ([]cluster.NodeSpec, []workload.Job)) {
+	t.Helper()
+	for _, obj := range []placement.Objective{nil, placement.LoadBalance{}} {
+		name := "none"
+		if obj != nil {
+			name = obj.Name()
+		}
+		var placed, failed int
+		for seed := int64(1); seed <= seeds; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			specs, jobs := gen(r, 2+r.Intn(14))
+			p, f := placeAgainstRef(t, seed, r, sim.Config{Cluster: cluster.New(specs), Objective: obj}, jobs)
+			placed += p
+			failed += f
+		}
+		if placed < minPlaced || failed < minFailed {
+			t.Fatalf("objective %s: battery too one-sided: %d placements, %d failures", name, placed, failed)
+		}
+		t.Logf("objective %s: %d placements, %d failures matched the reference", name, placed, failed)
 	}
 }
 
@@ -270,10 +291,7 @@ var boundarySizes = []float64{0.1, 0.25, 1.0 / 3, 1.0 / 7, 0.5, 0.25000000025, 0
 func TestIndexedPlacementBoundary(t *testing.T) {
 	mems := append([]float64{0.2, 0.3}, boundarySizes...)
 	caps := []float64{1, 1.5, 2}
-	var placed, failed int
-	for seed := int64(1); seed <= 3000; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(14)
+	indexedBattery(t, 3000, 10000, 3000, func(r *rand.Rand, n int) ([]cluster.NodeSpec, []workload.Job) {
 		specs := make([]cluster.NodeSpec, n)
 		for i := range specs {
 			specs[i] = cluster.Spec(caps[r.Intn(len(caps))], caps[r.Intn(len(caps))])
@@ -282,14 +300,8 @@ func TestIndexedPlacementBoundary(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = jb(i, 0, 1+r.Intn(n), 0.05+0.95*r.Float64(), mems[r.Intn(len(mems))], 10+100*r.Float64())
 		}
-		p, f := placeAgainstRef(t, seed, r, sim.Config{Cluster: cluster.New(specs)}, jobs)
-		placed += p
-		failed += f
-	}
-	if placed < 10000 || failed < 3000 {
-		t.Fatalf("battery too one-sided: %d placements, %d failures", placed, failed)
-	}
-	t.Logf("%d placements, %d failures matched the reference", placed, failed)
+		return specs, jobs
+	})
 }
 
 // TestScanPlacementBoundary is the differential check of the scan: on
@@ -335,11 +347,10 @@ func TestScanPlacementBoundary(t *testing.T) {
 // placeAgainstRef runs jobs on cfg's platform and objective. It starts the
 // first four jobs on random nodes with room for their rigid demands, then
 // places every other job both ways — Place and refPlace — checking that
-// they agree. On the index path it also checks that the node index reads
-// the same before and after Place and matches the live node state, and
-// that memSlotsCover answers as SlotsCover over the free memory row. Jobs
-// that fit are started, so later calls see the load. It returns the number
-// of placements and failures.
+// they agree. Where Place picks from the node index (LoadBalance at d=2)
+// it also checks that the index reads the same before and after Place and
+// matches the live node state. Jobs that fit are started, so later calls
+// see the load. It returns the number of placements and failures.
 func placeAgainstRef(t *testing.T, seed int64, r *rand.Rand, cfg sim.Config, jobs []workload.Job) (placed, failed int) {
 	t.Helper()
 	n := cfg.Cluster.N()
@@ -367,22 +378,17 @@ func placeAgainstRef(t *testing.T, seed int64, r *rand.Rand, cfg sim.Config, job
 				ctl.Start(jid, nodes)
 			}
 		}
-		indexed := cfg.Objective == nil && d == 2
+		_, lb := cfg.Objective.(placement.LoadBalance)
+		indexed := (cfg.Objective == nil || lb) && d == 2
 		var ps PlaceScratch
 		for _, jid := range ctl.JobsInState(sim.Pending) {
 			var before indexSnapshot
 			if indexed {
 				before = snapshotIndex(ctl)
-				mem := make([]float64, n)
 				for node := 0; node < n; node++ {
 					if before.loads[node] != ctl.CPULoad(node)/ctl.CPUCap(node) || before.mems[node] != ctl.FreeMem(node) {
 						t.Fatalf("seed %d: index leaf %d disagrees with the live node state", seed, node)
 					}
-					mem[node] = ctl.FreeMem(node)
-				}
-				j := ctl.JobRef(jid)
-				if got, want := memSlotsCover(ctl, j.MemReq, j.Tasks), SlotsCover([][]float64{mem}, []float64{j.MemReq}, j.Tasks); got != want {
-					t.Fatalf("seed %d job %d: memSlotsCover = %v, SlotsCover over the free memory row = %v", seed, jid, got, want)
 				}
 			}
 			want, wantOK := refPlace(ctl, jid)
@@ -443,8 +449,8 @@ func TestPlaceCumulativeSlotRule(t *testing.T) {
 			{"zero memory covers any count", 0, 11, true},
 			{"no tasks always fit", 1, 0, true},
 		} {
-			if got := memSlotsCover(ctl, c.memReq, c.tasks); got != c.want {
-				t.Errorf("%s: memSlotsCover(%g, %d) = %v, want %v", c.name, c.memReq, c.tasks, got, c.want)
+			if got := SlotsCover(ctl.FreeRows(), []float64{c.memReq}, c.tasks); got != c.want {
+				t.Errorf("%s: SlotsCover(free rows, %g, %d) = %v, want %v", c.name, c.memReq, c.tasks, got, c.want)
 			}
 		}
 		checkRejectedOnFree(t, ctl, jb(3, 0, 2, 0.5, aboveHalf, 100), 1)
@@ -495,8 +501,9 @@ func checkRejectedOnFree(t *testing.T, ctl *sim.Controller, j workload.Job, slot
 }
 
 // TestPlaceAllocationFree: once its buffers have grown, Place allocates
-// nothing, on the node-index path and on the scan (with and without an
-// objective), whether the job fits or not.
+// nothing, picking from the node index (no objective, or LoadBalance, at
+// d=2) and from the scan (d=3, or the cost objective), whether the job
+// fits or not.
 func TestPlaceAllocationFree(t *testing.T) {
 	tr := &workload.Trace{Name: "allocs", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 4, 0.5, 0.6, 100),
@@ -504,7 +511,7 @@ func TestPlaceAllocationFree(t *testing.T) {
 		jb(2, 0, 4, 0.25, 0.5, 100), // no node has 0.5 free
 	}}
 	for _, c := range scanCases([]cluster.NodeSpec{cluster.Unit(), cluster.Unit(), cluster.Unit(), cluster.Unit()}) {
-		for _, obj := range []placement.Objective{nil, placement.Cost{}} {
+		for _, obj := range []placement.Objective{nil, placement.LoadBalance{}, placement.Cost{}} {
 			buildSimConfig(t, sim.Config{Trace: tr, Cluster: c.cl, Objective: obj}, func(ctl *sim.Controller) {
 				ctl.Start(0, []int{0, 1, 2, 3})
 				var ps PlaceScratch
@@ -564,7 +571,7 @@ func TestImproveRankAllocationFree(t *testing.T) {
 // lists — into the job's placement on Start and into the observer's event.
 // Job 0 starts with the returned slice; placing job 1 then rewrites that
 // slice, and neither job 0's placement nor its recorded JobStarted may
-// change. Both selections hand out the same buffer.
+// change. Both picks hand out the same buffer.
 func TestPlaceBufferRetention(t *testing.T) {
 	tr := &workload.Trace{Name: "retention", Nodes: 4, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 2, 0.5, 0.3, 100),

@@ -13,16 +13,15 @@
 // tasks until one of its rigid dimensions runs out, whichever node the
 // objective prefers, so the task loop fails exactly when the nodes' slots
 // fall short of the job's tasks. Place counts them first with
-// cluster.NodeSlots, the loop's own rigid-fit rule, and rejects a job that
-// does not fit before choosing any node. Two selections then
-// place a job that fits. On the paper's two-resource platform with no
-// objective configured, memory is the only hard constraint: the count
-// reads free memory from the controller, and each task's least-loaded
-// query is answered from the simulator's node index in O(log n).
-// Everywhere else one placement.Pick scan per task runs under the
-// objective, over free-capacity rows read once per call. GREEDY-PMTN's
-// forced admission asks the same question (SlotsCover) of the capacity its
-// pauses would free, so the placement after the pauses cannot fail.
+// cluster.NodeSlots (SlotsCover over the simulator's free rows), the loop's
+// own rigid-fit rule, and rejects a job that does not fit before choosing
+// any node. One task loop then places a job that fits: each task's pick is
+// a placement.Pick scan under the objective, and under LoadBalance on the
+// paper's two-resource platform, where memory is the only hard constraint,
+// the simulator's node index answers the same pick in O(log n).
+// GREEDY-PMTN's forced admission asks the same question (SlotsCover) of
+// the capacity its pauses would free, so the placement after the pauses
+// cannot fail.
 package sched
 
 import (
@@ -35,6 +34,7 @@ import (
 	"repro/internal/floats"
 	"repro/internal/placement"
 	"repro/internal/sim"
+	"repro/internal/sim/index"
 	"repro/internal/workload"
 )
 
@@ -72,22 +72,21 @@ func SpecOf(ctl *sim.Controller, jid int) core.JobSpec {
 // PlaceScratch holds the buffers of GREEDY placement so schedulers placing
 // at every event can reuse them. The zero value is ready to use.
 //
-// Both selections keep, per node, the rows of the tasks placed so far in
-// the current call (plan.load and plan.rigid; the index path only uses
-// memory, plan.rigid[0]) and zero the entries they wrote before returning,
-// so the rows are all zero between calls. The scan also reads every node's
-// free rigid capacity into plan.free and the job's rigid demands into dems
-// at the start of each call; those are only meaningful during the call.
-// Place's result is the nodes buffer (see Place).
+// The task loop keeps, per node, the CPU load and rigid demands of the
+// tasks placed so far in the current call (plan.load and plan.rigid) and
+// zeroes the entries it wrote before returning, so the rows are all zero
+// between calls. plan.free is the simulator's own free-capacity rows,
+// read in place, and dems holds the job's rigid demands; both are only
+// meaningful during the call. Place's result is the nodes buffer (see
+// Place).
 type PlaceScratch struct {
-	nodes   []int // the placement Place returns
-	touched []int // index path: nodes with a non-zero memory row
-	plan    plan
-	dems    []float64 // scan: dems[r] is the job's demand in dimension r+1
-	job     *workload.Job
-	// The scan's placement.Pick callbacks, built once per owner: a closure
-	// made per call escapes through the objective's Score and allocates.
-	// owner is the scratch they read, so a copied scratch builds its own.
+	nodes []int // the placement Place returns
+	plan  plan
+	dems  []float64 // dems[r] is the job's demand in dimension r+1
+	job   *workload.Job
+	// The placement.Pick callbacks, built once per owner: a closure made
+	// per call escapes through the objective's Score and allocates. owner
+	// is the scratch they read, so a copied scratch builds its own.
 	owner    *PlaceScratch
 	feasible func(node int) bool
 	dem      placement.Demand
@@ -103,24 +102,84 @@ type PlaceScratch struct {
 // per task, or ok=false if some task cannot be placed. Cluster state is not
 // modified.
 //
+// A node keeps accepting identical tasks until one of its rigid dimensions
+// runs out, whichever node the objective prefers, so the loop fails
+// exactly when SlotsCover says the free rows do not hold the job: that is
+// decided first, before any node is picked. Each task's pick is then
+// placement.Pick under the objective, except that LoadBalance on a
+// two-resource platform, where memory is the only hard constraint, is
+// answered from the simulator's node index in O(log n). The index's leaves
+// hold the scan's values and ArgminLoad applies placement.Pick's
+// strict-improvement, ascending-node rule, so both choose the same nodes
+// bit for bit (TestIndexedPlacementMatchesScan). After each task its node's
+// leaf is overlaid with the plan's values, and every leaf it set is restored
+// to its live values before Place returns.
+//
 // The returned slice may be ps's own buffer: it is valid until the next
 // Place on ps. Controller.Start and Resume copy the list, so passing it
 // straight to them is safe; a caller that keeps it longer must copy it.
 func (ps *PlaceScratch) Place(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
 	j := ctl.JobRef(jid)
 	ps.grow(ctl)
+	p := &ps.plan
+	p.free = ctl.FreeRows()
+	for r := range ps.dems {
+		ps.dems[r] = j.Demand(r + 1)
+	}
+	if !SlotsCover(p.free, ps.dems, j.Tasks) {
+		return nil, false
+	}
 	obj := ctl.Objective()
 	if obj == nil {
-		if ctl.NumDims() == 2 {
-			// The paper's two-resource platform is the placement hot path
-			// (every greedy admission and every DYNMCB8-ASAP arrival):
-			// answer each task's LoadBalance query from the node index in
-			// O(log n) instead of scanning.
-			return ps.place2Indexed(ctl, j)
-		}
 		obj = placement.LoadBalance{}
 	}
-	return ps.placeScan(ctl, j, obj)
+	var t *index.NodeIndex
+	if _, lb := obj.(placement.LoadBalance); lb && len(ps.dems) == 1 {
+		t = ctl.NodeIndex()
+	}
+	if ps.owner != ps {
+		ps.owner = ps
+		ps.feasible = ps.fits
+		// A closure over the scratch, not the method value j.Demand, which
+		// would copy the whole job record to the heap on every call.
+		ps.dem = func(k int) float64 { return ps.job.Demand(k) }
+	}
+	ps.job = j
+	ps.nodes = ps.nodes[:0]
+	n := ctl.NumNodes()
+	for task := 0; task < j.Tasks; task++ {
+		var best int
+		if t != nil {
+			best = t.ArgminLoad(ps.dems[0])
+		} else {
+			best = placement.Pick(n, ps.dem, p, ps.feasible, obj)
+		}
+		if best < 0 {
+			// SlotsCover counted a slot for every task with the rule fits
+			// (and the index's leaves) apply; reaching this branch
+			// indicates an internal inconsistency.
+			panic("sched: placement found no node after its slot count covered the job")
+		}
+		ps.nodes = append(ps.nodes, best)
+		p.load[best] += j.CPUNeed
+		for r, dm := range ps.dems {
+			p.rigid[r][best] += dm
+		}
+		if t != nil {
+			t.Set(best, p.CPULoad(best)/ctl.CPUCap(best), p.Free(best, 1))
+		}
+	}
+	for _, node := range ps.nodes {
+		if t != nil {
+			t.Set(node, ctl.CPULoad(node)/ctl.CPUCap(node), p.free[0][node])
+		}
+		p.load[node] = 0
+		for _, row := range p.rigid {
+			row[node] = 0
+		}
+	}
+	ps.job = nil
+	return ps.nodes, true
 }
 
 // grow sizes the plan rows for ctl's nodes and dimensions. Rows are only
@@ -135,66 +194,13 @@ func (ps *PlaceScratch) grow(ctl *sim.Controller) {
 	}
 	p.load = make([]float64, n)
 	p.rigid = make([][]float64, rigid)
-	p.free = make([][]float64, rigid)
 	for r := range p.rigid {
 		p.rigid[r] = make([]float64, n)
-		p.free[r] = make([]float64, n)
 	}
 	ps.dems = make([]float64, rigid)
 }
 
-// placeScan is the placement scan: per task, placement.Pick under obj over
-// the nodes with free capacity in every rigid dimension, net of the tasks
-// already placed in this call. A node keeps accepting identical tasks until
-// one of its rigid dimensions runs out, whichever node the objective
-// prefers, so the loop fails exactly when SlotsCover says the free rows do
-// not hold the job: that is decided first, before any Pick.
-func (ps *PlaceScratch) placeScan(ctl *sim.Controller, j *workload.Job, obj placement.Objective) ([]int, bool) {
-	p := &ps.plan
-	n := ctl.NumNodes()
-	for r, row := range p.free {
-		ps.dems[r] = j.Demand(r + 1)
-		for node := range row {
-			row[node] = ctl.FreeRes(node, r+1)
-		}
-	}
-	if !SlotsCover(p.free, ps.dems, j.Tasks) {
-		return nil, false
-	}
-	if ps.owner != ps {
-		ps.owner = ps
-		ps.feasible = ps.fits
-		// A closure over the scratch, not the method value j.Demand, which
-		// would copy the whole job record to the heap on every call.
-		ps.dem = func(k int) float64 { return ps.job.Demand(k) }
-	}
-	ps.job = j
-	ps.nodes = ps.nodes[:0]
-	for task := 0; task < j.Tasks; task++ {
-		best := placement.Pick(n, ps.dem, p, ps.feasible, obj)
-		if best < 0 {
-			// SlotsCover counted a slot for every task with the rule fits
-			// applies; reaching this branch indicates an internal
-			// inconsistency.
-			panic("sched: placement scan found no node after its slot count covered the job")
-		}
-		ps.nodes = append(ps.nodes, best)
-		p.load[best] += j.CPUNeed
-		for r, dm := range ps.dems {
-			p.rigid[r][best] += dm
-		}
-	}
-	for _, node := range ps.nodes {
-		p.load[node] = 0
-		for _, row := range p.rigid {
-			row[node] = 0
-		}
-	}
-	ps.job = nil
-	return ps.nodes, true
-}
-
-// fits is the scan's feasibility filter: the job's demand fits under
+// fits is the loop's feasibility filter: the job's demand fits under
 // floats.LessEq in every rigid dimension of node, net of this call's tasks.
 func (ps *PlaceScratch) fits(node int) bool {
 	p := &ps.plan
@@ -204,57 +210,6 @@ func (ps *PlaceScratch) fits(node int) bool {
 		}
 	}
 	return true
-}
-
-// place2Indexed answers the two-resource LoadBalance scan from the
-// simulator's node index. On this path memory is the only hard constraint,
-// so memSlotsCover decides whether the job fits before the index is read,
-// and a job that cannot fit returns without syncing or writing it.
-//
-// Tasks already placed in this call are overlaid onto the touched leaves
-// with exactly the expressions of the scan — free memory minus accumulated
-// plan memory, (load plus accumulated plan load) over capacity — and every
-// touched leaf is restored to its live values before returning. Untouched
-// leaves already hold the scan's values (a zero plan term only flips the
-// sign of a zero, which no comparison observes), and ArgminLoad applies the
-// same strict-improvement, ascending-node-order selection as
-// placement.Pick, so the chosen nodes are identical bit for bit
-// (TestIndexedPlacementMatchesScan).
-func (ps *PlaceScratch) place2Indexed(ctl *sim.Controller, j *workload.Job) ([]int, bool) {
-	memReq := j.MemReq
-	cpuNeed := j.CPUNeed
-	if !memSlotsCover(ctl, memReq, j.Tasks) {
-		return nil, false
-	}
-	// A zero planMem marks an untouched node: memory requirements are
-	// positive.
-	planMem, planLoad := ps.plan.rigid[0], ps.plan.load
-	t := ctl.NodeIndex()
-	ps.nodes = ps.nodes[:0]
-	for task := 0; task < j.Tasks; task++ {
-		node := t.ArgminLoad(memReq)
-		if node < 0 {
-			// memSlotsCover counted a slot for every task with the same
-			// arithmetic the leaves hold; reaching this branch indicates
-			// an internal inconsistency.
-			panic("sched: indexed placement found no node after its memory slot count covered the job")
-		}
-		ps.nodes = append(ps.nodes, node)
-		if planMem[node] == 0 {
-			ps.touched = append(ps.touched, node)
-		}
-		planMem[node] += memReq
-		planLoad[node] += cpuNeed
-		t.Set(node,
-			(ctl.CPULoad(node)+planLoad[node])/ctl.CPUCap(node),
-			ctl.FreeMem(node)-planMem[node])
-	}
-	for _, node := range ps.touched {
-		t.Set(node, ctl.CPULoad(node)/ctl.CPUCap(node), ctl.FreeMem(node))
-		planMem[node], planLoad[node] = 0, 0
-	}
-	ps.touched = ps.touched[:0]
-	return ps.nodes, true
 }
 
 // SlotsCover reports whether the free rows hold tasks identical tasks of
@@ -269,26 +224,14 @@ func SlotsCover(free [][]float64, dems []float64, tasks int) bool {
 		func(node, r int) float64 { return free[r][node] }) >= tasks
 }
 
-// memSlotsCover is SlotsCover on the two-resource platform, reading each
-// node's free memory from the controller instead of a row: the index path
-// needs no rows when the job does not fit. TestIndexedPlacementBoundary
-// pins the two against each other.
-func memSlotsCover(ctl *sim.Controller, memReq float64, tasks int) bool {
-	need := tasks
-	for node, n := 0, ctl.NumNodes(); node < n && need > 0; node++ {
-		need -= cluster.NodeSlots(memReq, ctl.FreeMem(node), need)
-	}
-	return need <= 0
-}
-
-// plan is a placement scan's view of the platform for placement.State:
+// plan is the placement loop's view of the platform for placement.State:
 // the simulator's live usage plus, per node, the rigid demands and CPU
-// load of the tasks the scan has already assigned in the current call, so
+// load of the tasks the loop has already assigned in the current call, so
 // objectives score nodes as if those placements had already happened.
 // With nil rows (ImproveRank's view) it reads the live state alone.
 type plan struct {
 	ctl   *sim.Controller
-	free  [][]float64 // free[r][node]: FreeRes(node, r+1) at the start of the call
+	free  [][]float64 // the simulator's rows (Controller.FreeRows), read in place
 	rigid [][]float64 // rigid[r][node]: demand in rigid dimension r+1
 	load  []float64   // load[node]: CPU load
 }
@@ -307,7 +250,7 @@ func (p *plan) Free(node, k int) float64 {
 		return p.ctl.CPUCap(node) - p.CPULoad(node)
 	}
 	if p.free == nil {
-		return p.ctl.FreeRes(node, k)
+		return p.ctl.FreeRows()[k-1][node]
 	}
 	return p.free[k-1][node] - p.rigid[k-1][node]
 }

@@ -82,8 +82,17 @@ func (c *Controller) UsedRes(node, k int) float64 {
 // (its capacity minus the allocated amount; 0 for dimensions the cluster
 // does not declare). Asking for the fluid CPU dimension (k = 0) panics.
 func (c *Controller) FreeRes(node, k int) float64 {
-	return floats.NonNeg(c.sim.cl.Cap(node, k) - c.UsedRes(node, k))
+	if k < 1 || k-1 >= len(c.sim.freeRigid) {
+		return c.UsedRes(node, k) // the CPU dimension's panic, or 0 past the declared ones
+	}
+	return c.sim.freeRigid[k-1][node]
 }
+
+// FreeRows returns the simulator's free rigid capacity as rows:
+// FreeRows()[r][node] is FreeRes(node, r+1). The rows are the simulator's
+// own, kept current by every Start, Pause, Resume, Migrate and completion;
+// callers must not modify them, and must copy them to keep a snapshot.
+func (c *Controller) FreeRows() [][]float64 { return c.sim.freeRigid }
 
 // NumJobs returns the number of jids issued so far, not the trace length:
 // jobs are admitted lazily, so this counts the jobs submitted up to now
@@ -230,9 +239,7 @@ func (c *Controller) UsedMem(node int) float64 { return c.sim.usedRigid[0][node]
 
 // FreeMem returns the free memory of a node (its capacity minus the
 // allocated memory).
-func (c *Controller) FreeMem(node int) float64 {
-	return floats.NonNeg(c.sim.cl.MemCap(node) - c.sim.usedRigid[0][node])
-}
+func (c *Controller) FreeMem(node int) float64 { return c.sim.freeRigid[0][node] }
 
 // MaxCPULoad returns the maximum relative CPU load over all nodes — each
 // node's load divided by its own CPU capacity (the paper's capital lambda;
@@ -245,9 +252,12 @@ func (c *Controller) MaxCPULoad() float64 {
 }
 
 // NodeIndex syncs and exposes the simulator's tournament tree over per-node
-// (relative CPU load, free memory). Schedulers may query it — and overlay
-// tentative placements with Set — but must restore every touched leaf to
-// the live values (CPULoad(node)/CPUCap(node), FreeMem(node)) before
+// (relative CPU load, free memory). It accelerates one query, the
+// least-relatively-loaded node with room for a memory demand, which is
+// placement.LoadBalance's pick on a two-resource platform: greedy placement
+// answers each task's pick from it in O(log n), overlaying the call's
+// tentative tasks with Set. Whoever overlays must restore every leaf it set
+// to the live values (CPULoad(node)/CPUCap(node), FreeMem(node)) before
 // returning control to the simulator. The tree is current only until the
 // next Start, Migrate, Pause, Resume or completion: callers must not hold it
 // across one, but call NodeIndex again after it.

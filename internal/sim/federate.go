@@ -64,9 +64,7 @@ func (s *Simulator) CanAdmit(j workload.Job) error {
 // constrains the count.
 func (s *Simulator) FreeTaskSlots(j workload.Job) int {
 	return cluster.Slots(s.cl.N(), j.Tasks, cluster.DimMem, s.cl.D(), j.Demand,
-		func(node, k int) float64 {
-			return floats.NonNeg(s.cl.Cap(node, k) - s.usedRigid[k-1][node])
-		})
+		func(node, k int) float64 { return s.freeRigid[k-1][node] })
 }
 
 // InjectJob admits a job directly into the simulator, exactly as if its

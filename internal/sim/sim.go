@@ -356,6 +356,11 @@ type Simulator struct {
 	// resources are hard constraints: occupied on Start/Resume/Migrate,
 	// released on Pause/completion, never scaled by yield.
 	usedRigid [][]float64
+	// freeRigid[r][node] is NonNeg(cap - usedRigid[r][node]), node's free
+	// amount of rigid dimension r+1, rewritten wherever usedRigid changes
+	// (occupyNodes, releaseNodes). Every free-capacity read (FreeRes,
+	// FreeRows, FreeTaskSlots, the index leaves) comes from here.
+	freeRigid [][]float64
 	// nodeIdx mirrors per-node (relative CPU load, free memory) in a
 	// tournament tree, so MaxCPULoad and the greedy least-loaded-feasible-
 	// node query need no O(nodes) scans. It is synced lazily: an occupancy
@@ -461,12 +466,15 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	s.usedCPU = make([]float64, n)
 	s.cpuLoad = make([]float64, n)
 	s.usedRigid = make([][]float64, d-1)
+	s.freeRigid = make([][]float64, d-1)
 	for r := range s.usedRigid {
 		s.usedRigid[r] = make([]float64, n)
+		s.freeRigid[r] = make([]float64, n)
+		for node := range n {
+			s.setFree(r, node)
+		}
 	}
-	s.nodeIdx = index.NewNodeIndex(n, func(node int) float64 {
-		return floats.NonNeg(s.cl.MemCap(node) - s.usedRigid[0][node])
-	})
+	s.nodeIdx = index.NewNodeIndex(n, func(node int) float64 { return s.freeRigid[0][node] })
 	s.idxDirty = make([]bool, n)
 	s.ctl = Controller{sim: s}
 	s.result = Result{
@@ -1029,6 +1037,7 @@ func (s *Simulator) occupyNodes(j *jobRT, nodes []int) {
 				panic(fmt.Sprintf("sim: %s oversubscribed %s on node %d (%.6f of %.6f) at t=%.1f",
 					s.sched.Name(), resourceName(s.cl, r+1), node, s.usedRigid[r][node], s.cl.Cap(node, r+1), s.now))
 			}
+			s.setFree(r, node)
 		}
 	}
 }
@@ -1043,11 +1052,17 @@ func (s *Simulator) refreshNode(node int) {
 	}
 }
 
+// setFree rederives node's free amount of rigid dimension r+1 from its
+// usage: capacity minus usage, rounding residue snapped to zero.
+func (s *Simulator) setFree(r, node int) {
+	s.freeRigid[r][node] = floats.NonNeg(s.cl.Cap(node, r+1) - s.usedRigid[r][node])
+}
+
 // leafValues derives node's tournament-tree leaf from its live occupancy,
 // using exactly the expressions of the historical per-node scans
 // (Controller.MaxCPULoad, FreeMem).
 func (s *Simulator) leafValues(node int) (relLoad, freeMem float64) {
-	return s.cpuLoad[node] / s.cl.CPUCap(node), floats.NonNeg(s.cl.MemCap(node) - s.usedRigid[0][node])
+	return s.cpuLoad[node] / s.cl.CPUCap(node), s.freeRigid[0][node]
 }
 
 // syncIndex writes every stale leaf and returns the tree. The tree's
@@ -1075,6 +1090,7 @@ func (s *Simulator) releaseNodes(j *jobRT) {
 		for r := range s.usedRigid {
 			if dem := j.job.Demand(r + 1); dem != 0 {
 				s.usedRigid[r][node] = floats.NonNeg(s.usedRigid[r][node] - dem)
+				s.setFree(r, node)
 			}
 		}
 	}
@@ -1175,6 +1191,12 @@ func (s *Simulator) validate() error {
 			if usedRigid[node*(d-1)+r] > s.cl.Cap(node, r+1)+capTol {
 				return fmt.Errorf("sim: node %d allocated %s %.6f > capacity %.6f",
 					node, resourceName(s.cl, r+1), usedRigid[node*(d-1)+r], s.cl.Cap(node, r+1))
+			}
+			// The free rows must hold, bit for bit, what the usage derives.
+			free, want := s.freeRigid[r][node], floats.NonNeg(s.cl.Cap(node, r+1)-s.usedRigid[r][node])
+			if math.Float64bits(free) != math.Float64bits(want) {
+				return fmt.Errorf("sim: node %d free %s %g disagrees with capacity minus usage %g",
+					node, resourceName(s.cl, r+1), free, want)
 			}
 		}
 	}
